@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race bench-smoke bench-json bench-compare serve-smoke session-smoke cluster-smoke fuzz-smoke spec-goldens spec-golden-check
+.PHONY: build test vet lint race bench-smoke bench-json bench-compare serve-smoke session-smoke cluster-smoke fuzz-smoke perfbench-smoke spec-goldens spec-golden-check
 
 build:
 	$(GO) build ./...
@@ -47,7 +47,7 @@ bench-smoke:
 # stationary), so a 1x run would record only the cold first iteration.
 # Everything else stays at 1x to keep the pass fast; both streams feed
 # one chkpt-benchjson invocation (the parser handles concatenation).
-PR ?= 9
+PR ?= 15
 ADVISOR_BENCHTIME ?= 20000x
 
 bench-json:
@@ -267,6 +267,24 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSessionEvents -fuzztime 10s ./internal/advisor
 	$(GO) test -run xxx -fuzz FuzzDPNextFailureReplan -fuzztime 10s ./internal/policy
 	$(GO) test -run xxx -fuzz FuzzStoreDecode -fuzztime 10s ./internal/store
+	$(GO) test -run xxx -fuzz FuzzSessionRecord -fuzztime 10s ./internal/store
+
+# The repository benchmark is a module of its own (perfbench/, outside
+# the root ./...), so nothing else compiles it. Vet it, run its tests,
+# then run each workload for 2 seconds in traced mode, which also runs
+# an untraced phase and fails if a layer the workload uses records no
+# call. Every run must report "correct":true.
+PERFBENCH_WORKLOADS := sessions recover-cluster evaluate
+
+perfbench-smoke:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+	@set -e; for w in $(PERFBENCH_WORKLOADS); do \
+	  result=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 1 | tail -n 1); \
+	  echo "$$w: $$result"; \
+	  echo "$$result" | grep -q '"correct":true' || { echo "perfbench $$w: result is not correct" >&2; exit 1; }; \
+	done; \
+	echo "perfbench smoke OK"
 
 # Pinned fixture parameters — keep in sync with cmd/chkpt-tables/main_test.go.
 TABLE2_ARGS   := -exp table2 -traces 3 -quanta 30 -seed 11 -periodlb-traces 4

@@ -272,6 +272,7 @@ func TestRemoteCorruptResponse(t *testing.T) {
 // reported as ErrResponseTooLarge — not as corruption (the backend's
 // log is intact; only the wire cannot carry it) and not as an outage
 // (a retry answers the same bytes), so it is attempted exactly once.
+// The response outgrows the replay cap, the largest one.
 func TestRemoteOversizedResponse(t *testing.T) {
 	ctx := context.Background()
 	var attempts int
@@ -281,7 +282,7 @@ func TestRemoteOversizedResponse(t *testing.T) {
 		mu.Lock()
 		attempts++
 		mu.Unlock()
-		for written := 0; written <= 32<<20; written += len(chunk) {
+		for written := 0; written <= cluster.MaxReplayBytes; written += len(chunk) {
 			if _, err := w.Write(chunk); err != nil {
 				return
 			}

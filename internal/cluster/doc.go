@@ -7,11 +7,31 @@
 //
 // # Wire protocol
 //
-// Every operation is one POST to /store/v1/{op} whose request and
-// response bodies are a single CRC-framed compact-JSON line — the same
-// "<crc32c hex8> <payload>\n" framing the durable logs use
-// (store.EncodeFrame/DecodeFrame), so a message damaged in flight fails
-// its checksum exactly like a damaged log record. Domain answers
+// Every operation is one POST to /store/v1/{op}. The request body, and
+// the response body of every operation but replay, is a single
+// CRC-framed compact-JSON line — the same "<crc32c hex8> <payload>\n"
+// framing the durable logs use (store.EncodeFrame/DecodeFrame), so a
+// message damaged in flight fails its checksum exactly like a damaged
+// log record.
+//
+// A replay response is one such envelope frame — a domain error, or the
+// number of records that follow — and then the session's log image:
+// its created record and one record per step, in the log's own framing
+// and canonical record encoding (store.AppendSessionImage). The client
+// reads the image with the code FileStore.Replay reads a log file with
+// (store.DecodeSessionImage), so the log grammar and every record check
+// hold at both ends. An image holding more or fewer records than the
+// envelope announces is a *store.CorruptError, never a shorter history.
+// The image is larger than the step array earlier versions sent, at
+// worst 1.65 times, so a replay response may be 5/3 of the 32 MiB cap
+// on every other message.
+//
+// chkpt-store and chkpt-serve are upgraded together. A replica and a
+// store server of different versions fail every replay with a typed
+// *store.CorruptError, never with a wrong session; the other operations
+// are unchanged.
+//
+// Domain answers
 // (ErrNoSession, ErrTombstoned, ErrSessionExists, ErrLeaseHeld,
 // ErrLeaseStale, ...) ride inside a 200 response as a typed error kind
 // and unwrap to the matching store sentinel on the client, so

@@ -166,7 +166,11 @@ func (r *RemoteStore) roundTrip(ctx context.Context, op string, req *wireRequest
 		return nil, fmt.Errorf("cluster: %s %s: %w: %w", op, r.base.Host, err, store.ErrUnavailable)
 	}
 	defer httpResp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, maxWireBytes+1))
+	limit := maxWireBytes
+	if op == opReplay {
+		limit = maxReplayBytes
+	}
+	body, err := io.ReadAll(io.LimitReader(httpResp.Body, int64(limit)+1))
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("cluster: %s: %w", op, cerr)
@@ -179,18 +183,18 @@ func (r *RemoteStore) roundTrip(ctx context.Context, op string, req *wireRequest
 		// decoding: the LimitReader truncates anything larger than the
 		// wire cap, and a truncated frame would misdecode as corruption —
 		// permanent, never retried — when the backend's copy is intact.
-		if len(body) > maxWireBytes {
+		if len(body) > limit {
 			return nil, fmt.Errorf("cluster: %s %s: %w (cap %d bytes)",
-				op, r.base.Host, ErrResponseTooLarge, maxWireBytes)
+				op, r.base.Host, ErrResponseTooLarge, limit)
 		}
-		var resp wireResponse
-		if err := decodeWire(body, &resp); err != nil {
+		resp, err := decodeResponse(op, body)
+		if err != nil {
 			return nil, fmt.Errorf("cluster: %s response: %w", op, err)
 		}
 		if resp.Err != nil {
 			return nil, resp.Err.lift()
 		}
-		return &resp, nil
+		return resp, nil
 	case httpResp.StatusCode == http.StatusBadRequest:
 		// The server refused the request without executing it: a protocol
 		// mismatch, loud and permanent — never retried, never 503.
@@ -264,14 +268,7 @@ func (r *RemoteStore) Replay(ctx context.Context, id string) (*store.SessionRepl
 	if err != nil {
 		return nil, err
 	}
-	if resp.Spec == nil {
-		return nil, &store.CorruptError{Reason: "replay response without a spec"}
-	}
-	steps, err := fromWireSteps(resp.Steps)
-	if err != nil {
-		return nil, err
-	}
-	return &store.SessionReplay{Spec: resp.Spec, Steps: steps}, nil
+	return resp.replay, nil
 }
 
 // Put implements store.ResultStore.

@@ -151,9 +151,10 @@ func (sv *StoreServer) instrument(next http.Handler) http.Handler {
 }
 
 // handleOp decodes one framed operation, dispatches it against the
-// backend, and answers one framed response. Domain errors ride inside
-// the 200; only an undecodable request (which was not executed, so the
-// client may treat it as never sent) is a plain-text 400.
+// backend, and answers one framed response envelope, followed for a
+// successful replay by the session's log image. Domain errors ride
+// inside the 200; only an undecodable request (which was not executed,
+// so the client may treat it as never sent) is a plain-text 400.
 func (sv *StoreServer) handleOp(w http.ResponseWriter, r *http.Request) {
 	op := r.PathValue("op")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWireBytes))
@@ -181,6 +182,7 @@ func (sv *StoreServer) handleOp(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	_, _ = w.Write(frame)
+	_, _ = w.Write(resp.image)
 }
 
 // dispatch runs one operation. ok=false means the request itself was
@@ -223,7 +225,11 @@ func (sv *StoreServer) dispatch(ctx context.Context, op string, req *wireRequest
 		if err != nil {
 			return fail(err)
 		}
-		return wireResponse{Spec: rep.Spec, Steps: toWireSteps(rep.Steps)}, true
+		image, err := store.AppendSessionImage(nil, rep)
+		if err != nil {
+			return fail(err)
+		}
+		return wireResponse{Records: 1 + len(rep.Steps), image: image}, true
 	case opPut:
 		if req.Key == "" {
 			return bad("put needs key")

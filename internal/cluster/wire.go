@@ -15,10 +15,17 @@ import (
 // POST {prefix}{op}.
 const wirePathPrefix = "/store/v1/"
 
-// maxWireBytes bounds one wire message (either direction). Session
-// specs are capped at 16 MiB by the service; doubling that leaves room
-// for framing and replay responses.
+// maxWireBytes bounds one wire message (either direction) other than
+// a replay response. Session specs are capped at 16 MiB by the
+// service; doubling that leaves room for framing.
 const maxWireBytes = 32 << 20
+
+// maxReplayBytes bounds a replay response. A replay carries the
+// session's log image, which is larger than the JSON step array earlier
+// versions of the wire carried: at worst 1.65 times per step, for an
+// advised marker (28 bytes against 17). 5/3 of the old cap therefore
+// carries every history whose old response fit under maxWireBytes.
+const maxReplayBytes = maxWireBytes / 3 * 5
 
 // Wire operations, one per store.Store + store.LeaseStore method.
 const (
@@ -70,54 +77,21 @@ type wireRequest struct {
 	Lease *store.Lease      `json:"lease,omitempty"` // fenced ops
 }
 
-// wireResponse is the response payload. Err is set instead of the data
-// fields when the operation answered a domain error.
+// wireResponse is the response envelope. Err is set instead of the
+// data fields when the operation answered a domain error.
 type wireResponse struct {
-	Err   *wireError        `json:"err,omitempty"`
-	Spec  *spec.SessionSpec `json:"spec,omitempty"`  // replay
-	Steps []wireStep        `json:"steps,omitempty"` // replay
-	Val   []byte            `json:"val,omitempty"`   // get
-	Found bool              `json:"found,omitempty"` // get
-	Lease *store.Lease      `json:"lease,omitempty"` // lease-acquire
-	Stats *store.Stats      `json:"stats,omitempty"` // stats
-}
+	Err     *wireError   `json:"err,omitempty"`
+	Records int          `json:"records,omitempty"` // replay: log records after the envelope
+	Val     []byte       `json:"val,omitempty"`     // get
+	Found   bool         `json:"found,omitempty"`   // get
+	Lease   *store.Lease `json:"lease,omitempty"`   // lease-acquire
+	Stats   *store.Stats `json:"stats,omitempty"`   // stats
 
-// wireStep mirrors advisor.ReplayStep, which has no JSON tags of its
-// own: either a decision-point marker or one event.
-type wireStep struct {
-	Advised bool           `json:"advised,omitempty"`
-	Event   *advisor.Event `json:"event,omitempty"`
-}
-
-// toWireSteps lowers a replayed history onto the wire.
-func toWireSteps(steps []advisor.ReplayStep) []wireStep {
-	out := make([]wireStep, len(steps))
-	for i, st := range steps {
-		if st.Advised {
-			out[i] = wireStep{Advised: true}
-		} else {
-			ev := st.Event
-			out[i] = wireStep{Event: &ev}
-		}
-	}
-	return out
-}
-
-// fromWireSteps lifts wire steps back into replay steps. A step that
-// is neither a marker nor an event is a damaged or mismatched message.
-func fromWireSteps(steps []wireStep) ([]advisor.ReplayStep, error) {
-	out := make([]advisor.ReplayStep, len(steps))
-	for i, st := range steps {
-		switch {
-		case st.Advised:
-			out[i] = advisor.ReplayStep{Advised: true}
-		case st.Event != nil:
-			out[i] = advisor.ReplayStep{Event: *st.Event}
-		default:
-			return nil, &store.CorruptError{Reason: fmt.Sprintf("wire step %d is neither advised nor an event", i)}
-		}
-	}
-	return out, nil
+	// A successful replay's session travels after the envelope as its
+	// log image, Records records in the log's own framing: image is what
+	// the server sends, replay what the client decoded from it.
+	image  []byte
+	replay *store.SessionReplay
 }
 
 // Wire error kinds: every store sentinel the service classifies on,
@@ -232,4 +206,33 @@ func decodeWire(data []byte, v any) error {
 		return &store.CorruptError{Reason: fmt.Sprintf("wire payload: %v", err)}
 	}
 	return nil
+}
+
+// decodeResponse decodes a response body: the envelope frame and, when
+// it answers a replay successfully, the session's log image after it,
+// checked with the grammar and record checks a FileStore applies to its
+// log file. An image holding fewer records than the envelope announces
+// is a *store.CorruptError, never a shorter history.
+func decodeResponse(op string, body []byte) (*wireResponse, error) {
+	n := bytes.IndexByte(body, '\n') + 1
+	if n == 0 {
+		n = len(body) // let decodeWire report the unterminated frame
+	}
+	var resp wireResponse
+	if err := decodeWire(body[:n], &resp); err != nil {
+		return nil, err
+	}
+	image := body[n:]
+	if op != opReplay || resp.Err != nil {
+		if len(image) > 0 {
+			return nil, &store.CorruptError{Offset: n, Reason: "data after the response frame"}
+		}
+		return &resp, nil
+	}
+	rep, err := store.DecodeSessionImage(image, resp.Records)
+	if err != nil {
+		return nil, err
+	}
+	resp.replay = rep
+	return &resp, nil
 }

@@ -54,9 +54,24 @@
 //     signature of a crash mid-append. The record was never acknowledged,
 //     so replay repairs the log by truncating the torn bytes and
 //     continues.
-//   - A corrupt terminated line (bad frame, CRC mismatch, malformed
-//     JSON) is real corruption and surfaces as a *CorruptError; nothing
-//     is silently skipped.
+//   - A corrupt terminated line (bad frame, CRC mismatch, a payload that
+//     is not a valid record) is real corruption and surfaces as a
+//     *CorruptError carrying the line's offset; nothing is silently
+//     skipped.
+//
+// Session records have one canonical encoding: the compact JSON that
+// encoding/json writes for them, which is what every session log has
+// held since the format's first version. The codec writes it without
+// reflection (only a created record's spec goes through encoding/json)
+// and accepts only what it writes: a payload decodes only if encoding
+// its record again gives back the same bytes. What the encoding cannot
+// carry — an event of an unknown kind or with a non-finite time or
+// work, a spec whose JSON does not decode back to itself — is refused
+// at append, before it is acknowledged. The store server sends a
+// replay as the session's log image (AppendSessionImage), which the
+// client reads with the code Replay uses on a file
+// (DecodeSessionImage): a log record and a replayed step on the wire
+// are one encoding.
 //
 // Segment files rotate at Options.SegmentBytes; only the last (active)
 // segment may carry a torn tail — a torn or corrupt sealed segment is an

@@ -169,9 +169,16 @@ func (st *FileStore) AppendCreated(ctx context.Context, id string, ss *spec.Sess
 	if err := validSessionID(id); err != nil {
 		return err
 	}
-	line, err := encodeSessionRecord(sessionRecord{Kind: recCreated, Spec: ss})
+	line, err := appendSessionRecord(nil, sessionRecord{kind: recCreated, spec: ss})
 	if err != nil {
-		return err
+		return fmt.Errorf("store: create session %s: %w", id, err)
+	}
+	// Replay accepts a record only in its canonical form. A spec whose
+	// JSON does not decode back to the same bytes (a string that is not
+	// valid UTF-8, say) would leave the log unreadable, so it is refused
+	// before it is acknowledged.
+	if _, err := decodeSessionRecord(line[len(frameHeader):len(line)-1], 0); err != nil {
+		return fmt.Errorf("store: create session %s: spec does not round-trip: %w", id, err)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -208,16 +215,20 @@ func (st *FileStore) AppendCreated(ctx context.Context, id string, ss *spec.Sess
 	return nil
 }
 
+// AppendEvent appends one event record. An event the log cannot carry
+// — a kind that is not one of advisor's four, a non-finite time or
+// work — is refused with an error; the service validates every event
+// through Session.Observe before it appends, so none it accepts is.
 func (st *FileStore) AppendEvent(ctx context.Context, id string, ev advisor.Event) error {
-	line, err := encodeSessionRecord(sessionRecord{Kind: recEvent, Event: &ev})
+	line, err := appendSessionRecord(nil, sessionRecord{kind: recEvent, event: ev})
 	if err != nil {
-		return err
+		return fmt.Errorf("store: append session %s: %w", id, err)
 	}
 	return st.appendOpen(ctx, id, "event", line)
 }
 
 func (st *FileStore) AppendAdvised(ctx context.Context, id string) error {
-	line, err := encodeSessionRecord(sessionRecord{Kind: recAdvised})
+	line, err := appendSessionRecord(nil, sessionRecord{kind: recAdvised})
 	if err != nil {
 		return err
 	}
@@ -260,7 +271,7 @@ func (st *FileStore) Tombstone(ctx context.Context, id string) error {
 	if err := validSessionID(id); err != nil {
 		return err
 	}
-	line, err := encodeSessionRecord(sessionRecord{Kind: recTombstone})
+	line, err := appendSessionRecord(nil, sessionRecord{kind: recTombstone})
 	if err != nil {
 		return err
 	}
