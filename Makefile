@@ -195,9 +195,12 @@ session-smoke:
 # byte-identically (modulo the per-replica expiry timestamp) by
 # replaying the shared log, count the rehydration in
 # chkpt_sessions_recovered_total, and resume the sweep job with zero
-# cells re-run. The forwarder must keep serving through the dead
-# backend. Binaries are real (not `go run`) so signals reach the child;
-# CI overrides CHKPT_STORE/CHKPT_SERVE/CHKPT_LB with prebuilt paths.
+# cells re-run. The store server's own /metrics must then count the
+# fsyncs (C) and the replay (R) it performed, in its stage histograms
+# chkpt_store_fsync_seconds and chkpt_store_replay_seconds. The
+# forwarder must keep serving through the dead backend. Binaries are
+# real (not `go run`) so signals reach the child; CI overrides
+# CHKPT_STORE/CHKPT_SERVE/CHKPT_LB with prebuilt paths.
 CHKPT_STORE ?= /tmp/chkpt-store-smoke
 CHKPT_LB    ?= /tmp/chkpt-lb-smoke
 STORE_ADDR  ?= 127.0.0.1:8961
@@ -243,6 +246,10 @@ cluster-smoke:
 	test "$$geta" = "$$getb"; \
 	echo "B answered the session byte-identically"; \
 	curl -sf http://$(SERVE_B)/metrics | grep -q '^chkpt_sessions_recovered_total 1'; \
+	storemetrics=$$(curl -sf http://$(STORE_ADDR)/metrics); \
+	echo "$$storemetrics" | grep -q '^chkpt_store_fsync_seconds_count [1-9]'; \
+	echo "$$storemetrics" | grep -q '^chkpt_store_replay_seconds_count [1-9]'; \
+	echo "store measured its own fsyncs (C) and replay (R)"; \
 	resub=$$(curl -sf -X POST --data-binary '{"name":"cluster-sweep","scenario":{"name":"cell","platform":{"preset":"oneproc","mtbf":86400},"p":1,"dist":{"family":"exponential"},"horizon":63072000,"traces":2,"seed":7},"grid":{"mtbf":[43200,86400]},"candidates":{"policies":[{"kind":"young"}]}}' http://$(SERVE_B)/v1/sweeps); \
 	echo "$$resub" | grep -q '"resumed": true'; \
 	echo "$$resub" | grep -q '"completed": 2'; \

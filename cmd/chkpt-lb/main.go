@@ -15,13 +15,8 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -39,9 +34,8 @@ func main() {
 	showVersion := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 
-	version := cliutil.BuildVersion()
 	if *showVersion {
-		fmt.Printf("%s %s %s\n", tool, version, runtime.Version())
+		fmt.Printf("%s %s %s\n", tool, cliutil.BuildVersion(), runtime.Version())
 		return
 	}
 	var urls []string
@@ -59,38 +53,12 @@ func main() {
 		cliutil.Fatal(tool, fmt.Errorf("-drain must be > 0, got %v", *drain))
 	}
 
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	logger := cliutil.Logger("text")
 	fw, err := cluster.NewForwarder(urls, logger)
 	if err != nil {
 		cliutil.Fatal(tool, err)
 	}
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           fw,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := cliutil.SignalContext()
-	defer stop()
-
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		<-ctx.Done()
-		logger.Info("draining", "window", drain.String())
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Warn("drain window elapsed; closing", "err", err)
-			_ = httpSrv.Close()
-		}
-	}()
-
-	logger.Info("listening", "addr", *addr, "version", version, "go", runtime.Version(),
-		"backends", strings.Join(urls, ","))
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := cliutil.Serve(*addr, fw, *drain, logger, "backends", strings.Join(urls, ",")); err != nil {
 		cliutil.Fatal(tool, err)
 	}
-	<-drained
-	logger.Info("stopped")
 }

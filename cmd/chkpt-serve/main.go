@@ -38,14 +38,11 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	_ "net/http/pprof"
-	"os"
 	"runtime"
 	"time"
 
@@ -76,12 +73,7 @@ func main() {
 		cliutil.Fatal(tool, err)
 	}
 
-	var logger *slog.Logger
-	if servef.LogFormat == "json" {
-		logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	} else {
-		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	}
+	logger := cliutil.Logger(servef.LogFormat)
 	cfg := service.Config{
 		Engine:         eng,
 		MaxConcurrent:  servef.Concurrent,
@@ -125,11 +117,9 @@ func main() {
 	cfg.ReplicaID = servef.ReplicaID
 
 	srv := service.New(cfg)
-	httpSrv := &http.Server{
-		Addr:              servef.Addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	// Deferred after the store closes above, so it runs before them: no
+	// background sweep runner races a closed store.
+	defer srv.Close()
 
 	// -debug-addr serves net/http/pprof on its own listener: profiling is
 	// an operator surface and never rides the public API address. The
@@ -151,32 +141,9 @@ func main() {
 		defer debugSrv.Close()
 	}
 
-	// The same signal wiring the batch tools use: SIGINT/SIGTERM cancels
-	// the context; here that starts the graceful drain.
-	ctx, stop := cliutil.SignalContext()
-	defer stop()
-
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		<-ctx.Done()
-		logger.Info("draining", "window", servef.Drain.String())
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), servef.Drain)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Warn("drain window elapsed; closing", "err", err)
-			_ = httpSrv.Close()
-		}
-	}()
-
-	logger.Info("listening", "addr", servef.Addr, "version", version, "go", runtime.Version(),
+	err = cliutil.Serve(servef.Addr, srv.Handler(), servef.Drain, logger,
 		"workers", eng.Workers(), "cache", eng.Cache() != nil)
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err != nil {
 		cliutil.Fatal(tool, err)
 	}
-	<-drained
-	// Stop background sweep runners before the deferred store close, so
-	// no runner races a closed store.
-	srv.Close()
-	logger.Info("stopped")
 }

@@ -3,12 +3,14 @@
 // replicas can share one session log, result store and lease table.
 //
 // The protocol is framed compact JSON under POST /store/v1/{op} — the
-// same CRC-32C frame discipline the store's own files use — plus the
-// operational surface every server in this repo carries: GET /healthz,
-// GET /metrics (per-op RPC counters and the store's append/replay/
-// lease counters) and GET /v1/debug/traces (spans tagged with the
-// calling replica's X-Request-ID, which is what makes one logical
-// request traceable across both processes).
+// same CRC-32C frame discipline the store's own files use — plus
+// chkpt-serve's operational surface, from the same code (internal/obs):
+// GET /healthz, GET /v1/debug/traces (spans tagged with the calling
+// replica's X-Request-ID, which makes one logical request traceable
+// across both processes) and GET /metrics: per-op RPC counters, the
+// store's counters, request counts and latency by route, and the stage
+// histograms of the work done here, chkpt_store_fsync_seconds (the
+// checkpoint cost C) and chkpt_store_replay_seconds (recovery cost R).
 //
 // Examples:
 //
@@ -22,13 +24,8 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
-	"os"
 	"runtime"
 	"time"
 
@@ -63,12 +60,7 @@ func main() {
 		cliutil.Fatal(tool, fmt.Errorf("-drain must be > 0, got %v", *drain))
 	}
 
-	var logger *slog.Logger
-	if *logFormat == "json" {
-		logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	} else {
-		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	}
+	logger := cliutil.Logger(*logFormat)
 
 	fst, err := store.Open(*dataDir, store.Options{})
 	if err != nil {
@@ -81,33 +73,7 @@ func main() {
 		Logger:  logger,
 		Version: version,
 	})
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           sv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := cliutil.SignalContext()
-	defer stop()
-
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		<-ctx.Done()
-		logger.Info("draining", "window", drain.String())
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Warn("drain window elapsed; closing", "err", err)
-			_ = httpSrv.Close()
-		}
-	}()
-
-	logger.Info("listening", "addr", *addr, "version", version, "go", runtime.Version(),
-		"dir", *dataDir)
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := cliutil.Serve(*addr, sv.Handler(), *drain, logger, "dir", *dataDir); err != nil {
 		cliutil.Fatal(tool, err)
 	}
-	<-drained
-	logger.Info("stopped")
 }

@@ -1,8 +1,9 @@
 // Package cliutil holds the flag plumbing shared by the cmd tools: the
 // engine flags (-workers/-cache), the run flags (-traces/-seed), strict
-// validation of both, signal-aware contexts, and the -spec/-dump-spec
-// experiment driver. Keeping it in one place guarantees every tool
-// validates inputs identically and reports the same errors.
+// validation of both, signal-aware contexts, the servers' logger and
+// drain loop, and the -spec/-dump-spec experiment driver. Keeping it in
+// one place guarantees every tool validates inputs identically and
+// reports the same errors.
 package cliutil
 
 import (
@@ -10,8 +11,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
+	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"syscall"
@@ -187,6 +191,44 @@ func BuildVersion() string {
 // deterministic prefix.
 func SignalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+}
+
+// Logger returns the structured logger a -log-format value selects:
+// one JSON object per line for "json", human-readable text otherwise.
+func Logger(format string) *slog.Logger {
+	if format == "json" {
+		return slog.New(slog.NewJSONHandler(os.Stderr, nil))
+	}
+	return slog.New(slog.NewTextHandler(os.Stderr, nil))
+}
+
+// Serve serves h on addr until SIGINT or SIGTERM, then drains: new
+// connections are refused at once and in-flight requests get the drain
+// window to finish before the rest are closed. It logs "listening"
+// (with the address, the build and attrs), "draining" and "stopped",
+// and returns the listener's error if it could not serve.
+func Serve(addr string, h http.Handler, drain time.Duration, logger *slog.Logger, attrs ...any) error {
+	ctx, stop := SignalContext()
+	defer stop()
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	served := make(chan error, 1)
+	logger.Info("listening", append([]any{"addr", addr, "version", BuildVersion(), "go", runtime.Version()}, attrs...)...)
+	go func() { served <- srv.ListenAndServe() }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	logger.Info("draining", "window", drain.String())
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		logger.Warn("drain window elapsed; closing", "err", err)
+		_ = srv.Close()
+	}
+	<-served // http.ErrServerClosed, once Shutdown has closed the listener
+	logger.Info("stopped")
+	return nil
 }
 
 // Fatal prints the error prefixed with the tool name and exits 1.

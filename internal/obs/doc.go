@@ -47,4 +47,15 @@
 // path) otherwise. Detach copies the observability values onto a fresh
 // context so detached work (coalesced evaluations, background sweep
 // runners) stays correlated without inheriting cancellation.
+//
+// # One surface for every server
+//
+// chkpt-serve and chkpt-store mount the same code. A Registry holds
+// counter and histogram families with atomic observation, plus
+// collectors (Registry.Collect) that render values another component
+// owns from one snapshot per scrape. Serve mounts GET /healthz,
+// GET /metrics and GET /v1/debug/traces and wraps the mux with the
+// request middleware and per-route request metrics. Stages, the
+// tracer's OnEnd hook, maps spans onto stage histograms, so the store
+// server measures C (fsync) and R (replay) where they are paid.
 package obs

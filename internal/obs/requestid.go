@@ -14,7 +14,7 @@ type ctxKey int
 const (
 	requestIDKey ctxKey = iota
 	tracerKey
-	parentSpanKey
+	spanKey
 )
 
 // WithRequestID returns a context carrying the request correlation id.

@@ -28,6 +28,17 @@ type Span struct {
 	Attrs    []Attr        `json:"attrs,omitempty"`
 }
 
+// Attr returns the value of the span's first attribute named key ("" when
+// it has none).
+func (s Span) Attr(key string) string {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
 // DefaultTraceCapacity is the default ring-buffer size.
 const DefaultTraceCapacity = 4096
 
@@ -39,9 +50,9 @@ type TracerConfig struct {
 	// DefaultTraceCapacity).
 	Capacity int
 	// OnEnd, when set, observes every finished span (after it lands in
-	// the ring). The service uses it to feed the per-stage latency
-	// histograms. It runs on the ending goroutine and must be cheap and
-	// concurrency-safe.
+	// the ring). The servers set it to Stages, which feeds the per-stage
+	// latency histograms. It runs on the ending goroutine and must be
+	// cheap and concurrency-safe.
 	OnEnd func(Span)
 }
 
@@ -142,10 +153,18 @@ func Detach(ctx context.Context) context.Context {
 	if id := RequestID(ctx); id != "" {
 		out = WithRequestID(out, id)
 	}
-	if p, ok := ctx.Value(parentSpanKey).(uint64); ok {
-		out = context.WithValue(out, parentSpanKey, p)
+	if a := SpanFrom(ctx); a != nil {
+		out = context.WithValue(out, spanKey, a)
 	}
 	return out
+}
+
+// SpanFrom returns the innermost span started on ctx (nil, a valid no-op
+// span, when there is none), so a handler can annotate the span its
+// middleware started.
+func SpanFrom(ctx context.Context) *ActiveSpan {
+	a, _ := ctx.Value(spanKey).(*ActiveSpan)
+	return a
 }
 
 // ActiveSpan is an in-flight span. The zero of *ActiveSpan (nil) is a
@@ -177,10 +196,10 @@ func StartSpan(ctx context.Context, name string) (context.Context, *ActiveSpan) 
 			Start:   t.clock.Now(),
 		},
 	}
-	if p, ok := ctx.Value(parentSpanKey).(uint64); ok {
-		a.span.Parent = p
+	if p := SpanFrom(ctx); p != nil {
+		a.span.Parent = p.span.ID
 	}
-	return context.WithValue(ctx, parentSpanKey, a.span.ID), a
+	return context.WithValue(ctx, spanKey, a), a
 }
 
 // SetAttr attaches an attribute to the span. No-op on a nil span or

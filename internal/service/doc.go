@@ -47,11 +47,14 @@
 //     and TTL eviction write tombstones: a dead session stays dead.
 //   - GET  /v1/registry  — the registered distribution families, policy
 //     kinds and platform presets (the spec registries).
-//   - GET  /healthz, GET /metrics — liveness with build info, and
-//     Prometheus-style text metrics (request counts, latency histograms,
-//     coalescing hits, admission rejections, engine cache
+//   - GET  /healthz, GET /metrics, GET /v1/debug/traces — mounted by
+//     obs.Serve, the code chkpt-store serves them from too: liveness
+//     with build info; Prometheus-style text metrics (request counts
+//     and latency histograms by matched route, the span-fed stage
+//     histograms, coalescing hits, admission rejections, engine cache
 //     hit/miss/eviction counters, session store gauges/counters,
-//     session recoveries, sweep-job and durable-store counters).
+//     session recoveries, sweep-job and durable-store counters) from
+//     the server's obs.Registry; and the span ring.
 //
 // The server is production-shaped rather than a demo mux: a bounded
 // admission queue sheds load with 429 + Retry-After before work starts,

@@ -7,14 +7,12 @@ import (
 	"fmt"
 	"maps"
 	"net/http"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/exper"
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -145,50 +143,12 @@ func errorStatus(err error) int {
 	}
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{
-		"status":  "ok",
-		"version": s.version,
-		"go":      runtime.Version(),
-	})
-}
-
 func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, RegistryResponse{
 		Dists:     spec.DistFamilies(),
 		Policies:  spec.PolicyKinds(),
 		Platforms: spec.PlatformNames(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	cs, ok := s.eng.CacheStats()
-	s.met.writeTo(w, cs, ok, s.store.stats(), s.st.Stats())
-}
-
-// TracesResponse is the GET /v1/debug/traces payload: the most recent
-// finished spans, newest first.
-type TracesResponse struct {
-	Spans []obs.Span `json:"spans"`
-}
-
-// handleTraces serves the span ring buffer. The optional limit query
-// parameter bounds the answer (default 256, at most the ring size).
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	limit, err := queryInt(r.URL.Query(), "limit", 256)
-	if err != nil || limit <= 0 {
-		if err == nil {
-			err = fmt.Errorf("service: query parameter limit=%d must be > 0", limit)
-		}
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spans := s.tracer.Recent(limit)
-	if spans == nil {
-		spans = []obs.Span{}
-	}
-	writeJSON(w, http.StatusOK, TracesResponse{Spans: spans})
 }
 
 // decodeSpec reads and strict-decodes the request body into an
@@ -210,7 +170,7 @@ func (s *Server) evaluateCoalesced(ctx context.Context, hash string, cell spec.C
 			return nil, err
 		}
 		defer s.adm.release()
-		s.met.coalesce(false)
+		s.met.coalesceRuns.Inc()
 		if s.evalGate != nil {
 			s.evalGate()
 		}
@@ -221,7 +181,7 @@ func (s *Server) evaluateCoalesced(ctx context.Context, hash string, cell spec.C
 		return res, nil
 	})
 	if shared {
-		s.met.coalesce(true)
+		s.met.coalesceHits.Inc()
 	}
 	if err != nil {
 		return spec.CellResult{}, shared, err
@@ -317,7 +277,7 @@ func (s *Server) evaluateSpec(ctx context.Context, es *spec.ExperimentSpec) (*Ev
 	res, shared, err := s.evaluateCoalesced(ctx, hash, cells[0])
 	if err != nil {
 		if errors.Is(err, errOverload) {
-			s.met.reject()
+			s.met.rejected.Inc()
 		}
 		return nil, spec.CellResult{}, errorStatus(err), err
 	}
@@ -346,7 +306,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	if err := s.adm.acquire(ctx); err != nil {
 		if errors.Is(err, errOverload) {
-			s.met.reject()
+			s.met.rejected.Inc()
 			writeError(w, http.StatusTooManyRequests, err)
 			return
 		}
@@ -387,7 +347,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			// The client went away mid-stream (seen as a cancelled
 			// request context or as a failed write) and the sweep
 			// stopped. Nobody is listening for a trailer.
-			s.met.sweepCancel()
+			s.met.sweepCancelled.Inc()
 			return
 		}
 		_ = enc.Encode(SweepTrailer{Cells: n, Error: streamErr.Error()})

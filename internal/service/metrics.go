@@ -1,82 +1,9 @@
 package service
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"sync"
-	"time"
-
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
-
-// latencyBuckets are the histogram upper bounds in seconds. Evaluations
-// range from milliseconds (cache-hot single cells) to minutes (cold
-// paper-scale sweeps), so the buckets are log-spaced across that span.
-var latencyBuckets = []float64{0.005, 0.02, 0.1, 0.5, 2, 10, 60}
-
-// spanBuckets are the upper bounds for the span-fed stage histograms.
-// Warm re-plans are ~10µs, cold DP builds ~1ms, fsyncs ~1ms, engine
-// cells up to seconds, so these reach two decades lower than the
-// request buckets.
-var spanBuckets = []float64{0.00001, 0.0001, 0.001, 0.005, 0.02, 0.1, 0.5, 2, 10}
-
-// histogram is a fixed-bucket latency histogram. Its bucket slice is
-// sized at construction — observe never allocates, so a histogram that
-// is scraped before its first observation still renders every bucket.
-type histogram struct {
-	bounds  []float64
-	buckets []uint64 // observations <= bounds[i]
-	sum     float64
-	count   uint64
-}
-
-func newHistogram(bounds []float64) *histogram {
-	return &histogram{bounds: bounds, buckets: make([]uint64, len(bounds))}
-}
-
-func (h *histogram) observe(sec float64) {
-	for i, le := range h.bounds {
-		if sec <= le {
-			h.buckets[i]++
-		}
-	}
-	h.sum += sec
-	h.count++
-}
-
-// metrics aggregates the server's operational counters. Everything is
-// guarded by one mutex: the handlers touch it a handful of times per
-// request, which is noise next to an engine evaluation.
-type metrics struct {
-	mu             sync.Mutex
-	requests       map[string]uint64 // "path code" -> count
-	latency        map[string]*histogram
-	coalesceHits   uint64 // requests that joined an existing flight
-	coalesceRuns   uint64 // flights actually executed
-	rejected       uint64 // admissions shed with 429
-	sweepCancelled uint64 // sweeps ended by client cancellation
-	decisions      uint64 // advisor decisions served over /v1/sessions
-
-	sweepJobsCreated   uint64 // durable sweep jobs journaled
-	sweepJobsResumed   uint64 // POSTs/loads that found an existing job
-	sweepCellsComputed uint64 // cells actually evaluated by job runners
-	sweepCellsRestored uint64 // cells recovered from the store, not re-run
-
-	// Span-fed stage histograms, constructed up front so a scrape before
-	// the first observation still renders the full bucket set.
-	replanCold  *histogram            // chkpt_replan_seconds{warm="false"}
-	replanWarm  *histogram            // chkpt_replan_seconds{warm="true"}
-	storeFsync  *histogram            // chkpt_store_fsync_seconds
-	engineCell  *histogram            // chkpt_engine_cell_seconds
-	engineHit   *histogram            // chkpt_engine_cache_seconds{result="hit"}
-	engineMiss  *histogram            // chkpt_engine_cache_seconds{result="miss"}
-	storeReplay *histogram            // chkpt_store_replay_seconds
-	remoteRPC   map[string]*histogram // chkpt_remote_store_rpc_seconds{op,result}, keyed "op result"
-}
 
 // remoteStoreOps mirrors the remote store wire protocol's operation
 // names so every {op,result} series of
@@ -89,145 +16,61 @@ var remoteStoreOps = []string{
 	"lease-acquire", "lease-renew", "lease-release", "stats",
 }
 
-func newMetrics() *metrics {
-	m := &metrics{
-		requests:    map[string]uint64{},
-		latency:     map[string]*histogram{},
-		replanCold:  newHistogram(spanBuckets),
-		replanWarm:  newHistogram(spanBuckets),
-		storeFsync:  newHistogram(spanBuckets),
-		engineCell:  newHistogram(spanBuckets),
-		engineHit:   newHistogram(spanBuckets),
-		engineMiss:  newHistogram(spanBuckets),
-		storeReplay: newHistogram(spanBuckets),
-		remoteRPC:   map[string]*histogram{},
-	}
-	for _, op := range remoteStoreOps {
-		m.remoteRPC[op+" ok"] = newHistogram(spanBuckets)
-		m.remoteRPC[op+" error"] = newHistogram(spanBuckets)
-	}
-	return m
+// metrics holds the counters the server owns, registered on its obs
+// registry (see register for what each counts).
+type metrics struct {
+	coalesceRuns       *obs.Counter
+	coalesceHits       *obs.Counter
+	rejected           *obs.Counter
+	sweepCancelled     *obs.Counter
+	decisions          *obs.Counter
+	sweepJobsCreated   *obs.Counter
+	sweepJobsResumed   *obs.Counter
+	sweepCellsComputed *obs.Counter
+	sweepCellsRestored *obs.Counter
 }
 
-func (m *metrics) observe(path string, code int, dur time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[path+" "+strconv.Itoa(code)]++
-	h, ok := m.latency[path]
-	if !ok {
-		h = newHistogram(latencyBuckets)
-		m.latency[path] = h
+// register builds the server's families on reg: the counters it owns
+// (s.met), and collectors for the values the session store, the durable
+// store and the engine cache own.
+func (s *Server) register(reg *obs.Registry) {
+	s.met = &metrics{
+		coalesceRuns:       reg.Counter("chkpt_coalesce_runs_total", "Coalesced evaluations actually executed."),
+		coalesceHits:       reg.Counter("chkpt_coalesce_hits_total", "Requests served by joining another request's evaluation."),
+		rejected:           reg.Counter("chkpt_admission_rejected_total", "Requests shed by the admission queue (429)."),
+		sweepCancelled:     reg.Counter("chkpt_sweep_cancelled_total", "Sweeps terminated by client cancellation."),
+		decisions:          reg.Counter("chkpt_session_decisions_total", "Advisor decisions served over /v1/sessions."),
+		sweepJobsCreated:   reg.Counter("chkpt_sweep_jobs_created_total", "Durable sweep jobs journaled via POST /v1/sweeps."),
+		sweepJobsResumed:   reg.Counter("chkpt_sweep_jobs_resumed_total", "Sweep-job submissions or loads that found an existing job."),
+		sweepCellsComputed: reg.Counter("chkpt_sweep_cells_computed_total", "Sweep-job cells evaluated by the runners."),
+		sweepCellsRestored: reg.Counter("chkpt_sweep_cells_restored_total", "Sweep-job cells recovered from the result store without re-running."),
 	}
-	h.observe(dur.Seconds())
-}
-
-// observeSpan feeds a finished span into the stage histograms. It is the
-// tracer's OnEnd hook, so every traced stage is summarized on /metrics
-// whether or not anyone reads /v1/debug/traces.
-func (m *metrics) observeSpan(s obs.Span) {
-	sec := s.Duration.Seconds()
-	var attr = func(key string) string {
-		for _, a := range s.Attrs {
-			if a.Key == key {
-				return a.Value
-			}
-		}
-		return ""
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch s.Name {
-	case "advisor.replan":
-		if attr("warm") == "true" {
-			m.replanWarm.observe(sec)
-		} else {
-			m.replanCold.observe(sec)
-		}
-	case "store.fsync":
-		m.storeFsync.observe(sec)
-	case "store.replay":
-		m.storeReplay.observe(sec)
-	case "engine.cell":
-		m.engineCell.observe(sec)
-	case "engine.cache":
-		if attr("cache") == "hit" {
-			m.engineHit.observe(sec)
-		} else {
-			m.engineMiss.observe(sec)
-		}
-	case "store.rpc":
-		op, result := attr("op"), attr("result")
-		if op == "" || result == "" {
+	reg.Collect(func(sc *obs.Scrape) {
+		ss := s.store.stats()
+		sc.Counter("chkpt_sessions_created_total", "Advisor sessions created.", ss.created)
+		sc.Counter("chkpt_sessions_evicted_total", "Advisor sessions reclaimed by TTL expiry.", ss.evicted)
+		sc.Counter("chkpt_sessions_rejected_total", "Session creations refused by the store capacity bound (429).", ss.rejected)
+		sc.Counter("chkpt_sessions_recovered_total", "Sessions rehydrated from the durable event log.", ss.recovered)
+		sc.Gauge("chkpt_sessions_open", "Live advisor sessions.", int64(ss.open))
+	})
+	store.RegisterStats(reg, s.st.Stats)
+	reg.Collect(func(sc *obs.Scrape) {
+		cs, ok := s.eng.CacheStats()
+		if !ok {
 			return
 		}
-		key := op + " " + result
-		h, ok := m.remoteRPC[key]
-		if !ok {
-			h = newHistogram(spanBuckets)
-			m.remoteRPC[key] = h
-		}
-		h.observe(sec)
-	}
-}
-
-func (m *metrics) coalesce(shared bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if shared {
-		m.coalesceHits++
-	} else {
-		m.coalesceRuns++
-	}
-}
-
-func (m *metrics) reject() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rejected++
-}
-
-func (m *metrics) sweepCancel() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sweepCancelled++
-}
-
-func (m *metrics) sessionDecision() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.decisions++
-}
-
-func (m *metrics) sweepJobCreate() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sweepJobsCreated++
-}
-
-func (m *metrics) sweepJobResume() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sweepJobsResumed++
-}
-
-func (m *metrics) sweepCellCompute() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sweepCellsComputed++
-}
-
-func (m *metrics) sweepCellsRestore(n uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sweepCellsRestored += n
+		sc.Counter("chkpt_engine_cache_hits_total", "Engine artifact cache hits.", cs.Hits)
+		sc.Counter("chkpt_engine_cache_misses_total", "Engine artifact cache misses.", cs.Misses)
+		sc.Counter("chkpt_engine_cache_evictions_total", "Engine artifact cache LRU evictions.", cs.Evictions)
+		sc.Gauge("chkpt_engine_cache_entries", "Live engine cache entries.", int64(cs.Entries))
+		sc.Gauge("chkpt_engine_cache_bytes", "Estimated engine cache footprint in bytes.", cs.Bytes)
+		sc.Gauge("chkpt_engine_cache_budget_bytes", "Engine cache eviction threshold in bytes.", cs.Budget)
+	})
 }
 
 // Snapshot is a point-in-time copy of the server's counters, exposed for
 // tests and operational introspection.
 type Snapshot struct {
-	// Requests counts finished requests keyed "path code"
-	// (e.g. "/v1/evaluate 200").
-	Requests map[string]uint64
 	// CoalesceRuns counts evaluations actually executed; CoalesceHits
 	// counts requests that shared another request's run.
 	CoalesceRuns, CoalesceHits uint64
@@ -255,172 +98,24 @@ type Snapshot struct {
 	Store store.Stats
 }
 
-func (m *metrics) snapshot(ss sessionStats, st store.Stats) Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := Snapshot{
-		Requests:           make(map[string]uint64, len(m.requests)),
-		CoalesceRuns:       m.coalesceRuns,
-		CoalesceHits:       m.coalesceHits,
-		Rejected:           m.rejected,
-		SweepCancelled:     m.sweepCancelled,
+// Metrics returns a point-in-time snapshot of the server's counters.
+func (s *Server) Metrics() Snapshot {
+	m, ss := s.met, s.store.stats()
+	return Snapshot{
+		CoalesceRuns:       m.coalesceRuns.Value(),
+		CoalesceHits:       m.coalesceHits.Value(),
+		Rejected:           m.rejected.Value(),
+		SweepCancelled:     m.sweepCancelled.Value(),
 		SessionsOpen:       ss.open,
 		SessionsCreated:    ss.created,
 		SessionsEvicted:    ss.evicted,
 		SessionsRejected:   ss.rejected,
 		SessionsRecovered:  ss.recovered,
-		SessionDecisions:   m.decisions,
-		SweepJobsCreated:   m.sweepJobsCreated,
-		SweepJobsResumed:   m.sweepJobsResumed,
-		SweepCellsComputed: m.sweepCellsComputed,
-		SweepCellsRestored: m.sweepCellsRestored,
-		Store:              st,
+		SessionDecisions:   m.decisions.Value(),
+		SweepJobsCreated:   m.sweepJobsCreated.Value(),
+		SweepJobsResumed:   m.sweepJobsResumed.Value(),
+		SweepCellsComputed: m.sweepCellsComputed.Value(),
+		SweepCellsRestored: m.sweepCellsRestored.Value(),
+		Store:              s.st.Stats(),
 	}
-	for k, v := range m.requests {
-		s.Requests[k] = v
-	}
-	return s
-}
-
-// writeTo renders the counters in the Prometheus text exposition format,
-// with deterministic (sorted) series order. cacheStats carries the engine
-// cache's counters when the engine has a cache.
-func (m *metrics) writeTo(w io.Writer, cacheStats engine.CacheStats, hasCache bool, ss sessionStats, st store.Stats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP chkpt_requests_total Finished HTTP requests by path and status code.")
-	fmt.Fprintln(w, "# TYPE chkpt_requests_total counter")
-	keys := make([]string, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		var path, code string
-		fmt.Sscanf(k, "%s %s", &path, &code)
-		fmt.Fprintf(w, "chkpt_requests_total{path=%q,code=%q} %d\n", path, code, m.requests[k])
-	}
-
-	fmt.Fprintln(w, "# HELP chkpt_request_duration_seconds Request latency by path.")
-	fmt.Fprintln(w, "# TYPE chkpt_request_duration_seconds histogram")
-	paths := make([]string, 0, len(m.latency))
-	for p := range m.latency {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		h := m.latency[p]
-		for i, le := range h.bounds {
-			fmt.Fprintf(w, "chkpt_request_duration_seconds_bucket{path=%q,le=%q} %d\n", p, trimFloat(le), h.buckets[i])
-		}
-		fmt.Fprintf(w, "chkpt_request_duration_seconds_bucket{path=%q,le=\"+Inf\"} %d\n", p, h.count)
-		fmt.Fprintf(w, "chkpt_request_duration_seconds_sum{path=%q} %g\n", p, h.sum)
-		fmt.Fprintf(w, "chkpt_request_duration_seconds_count{path=%q} %d\n", p, h.count)
-	}
-
-	// labeledHist renders one histogram family: the HELP/TYPE header once,
-	// then each labeled series' cumulative buckets, +Inf, sum and count.
-	labeledHist := func(name, help string, series []struct {
-		labels string
-		h      *histogram
-	}) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		for _, s := range series {
-			sep := ""
-			if s.labels != "" {
-				sep = ","
-			}
-			for i, le := range s.h.bounds {
-				fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, s.labels, sep, trimFloat(le), s.h.buckets[i])
-			}
-			fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, s.labels, sep, s.h.count)
-			if s.labels == "" {
-				fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, s.h.sum, name, s.h.count)
-			} else {
-				fmt.Fprintf(w, "%s_sum{%s} %g\n%s_count{%s} %d\n", name, s.labels, s.h.sum, name, s.labels, s.h.count)
-			}
-		}
-	}
-	type series = struct {
-		labels string
-		h      *histogram
-	}
-	labeledHist("chkpt_replan_seconds",
-		"Advisor policy consultations by warmth: cold plans build the DP, warm re-plans walk the memo.",
-		[]series{{`warm="false"`, m.replanCold}, {`warm="true"`, m.replanWarm}})
-	labeledHist("chkpt_store_fsync_seconds",
-		"Durable-store fsync latency (the serving tier's checkpoint cost C).",
-		[]series{{"", m.storeFsync}})
-	labeledHist("chkpt_store_replay_seconds",
-		"Session-log replay latency (recovery cost R).",
-		[]series{{"", m.storeReplay}})
-	labeledHist("chkpt_engine_cell_seconds",
-		"Engine cell evaluation latency inside Run/Stream worker loops.",
-		[]series{{"", m.engineCell}})
-	labeledHist("chkpt_engine_cache_seconds",
-		"Engine artifact resolution latency by cache outcome (misses pay the build).",
-		[]series{{`result="hit"`, m.engineHit}, {`result="miss"`, m.engineMiss}})
-	rpcKeys := make([]string, 0, len(m.remoteRPC))
-	for k := range m.remoteRPC {
-		rpcKeys = append(rpcKeys, k)
-	}
-	sort.Strings(rpcKeys)
-	rpcSeries := make([]series, 0, len(rpcKeys))
-	for _, k := range rpcKeys {
-		var op, result string
-		fmt.Sscanf(k, "%s %s", &op, &result)
-		rpcSeries = append(rpcSeries, series{
-			labels: fmt.Sprintf("op=%q,result=%q", op, result),
-			h:      m.remoteRPC[k],
-		})
-	}
-	labeledHist("chkpt_remote_store_rpc_seconds",
-		"Remote store RPC latency by wire operation and outcome (per call, across retries).",
-		rpcSeries)
-
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("chkpt_coalesce_runs_total", "Coalesced evaluations actually executed.", m.coalesceRuns)
-	counter("chkpt_coalesce_hits_total", "Requests served by joining another request's evaluation.", m.coalesceHits)
-	counter("chkpt_admission_rejected_total", "Requests shed by the admission queue (429).", m.rejected)
-	counter("chkpt_sweep_cancelled_total", "Sweeps terminated by client cancellation.", m.sweepCancelled)
-	counter("chkpt_sessions_created_total", "Advisor sessions created.", ss.created)
-	counter("chkpt_sessions_evicted_total", "Advisor sessions reclaimed by TTL expiry.", ss.evicted)
-	counter("chkpt_sessions_rejected_total", "Session creations refused by the store capacity bound (429).", ss.rejected)
-	counter("chkpt_sessions_recovered_total", "Sessions rehydrated from the durable event log.", ss.recovered)
-	counter("chkpt_session_decisions_total", "Advisor decisions served over /v1/sessions.", m.decisions)
-	counter("chkpt_sweep_jobs_created_total", "Durable sweep jobs journaled via POST /v1/sweeps.", m.sweepJobsCreated)
-	counter("chkpt_sweep_jobs_resumed_total", "Sweep-job submissions or loads that found an existing job.", m.sweepJobsResumed)
-	counter("chkpt_sweep_cells_computed_total", "Sweep-job cells evaluated by the runners.", m.sweepCellsComputed)
-	counter("chkpt_sweep_cells_restored_total", "Sweep-job cells recovered from the result store without re-running.", m.sweepCellsRestored)
-	counter("chkpt_store_appends_total", "Session-log records durably appended.", st.Appends)
-	counter("chkpt_store_replays_total", "Session logs replayed for recovery.", st.Replays)
-	counter("chkpt_store_puts_total", "Result-store values written.", st.Puts)
-	counter("chkpt_store_gets_total", "Result-store lookups (hits and misses).", st.Gets)
-	counter("chkpt_store_lease_acquired_total", "Leases granted (fresh grants, reclaims and holder re-acquires).", st.LeaseAcquired)
-	counter("chkpt_store_lease_renewed_total", "Lease renewals accepted under a matching fencing token.", st.LeaseRenewed)
-	counter("chkpt_store_lease_released_total", "Leases released by their holder.", st.LeaseReleased)
-	counter("chkpt_store_lease_reclaimed_total", "Expired leases taken over by a new owner.", st.LeaseReclaimed)
-	counter("chkpt_store_lease_stale_total", "Lease operations fenced off with a stale token.", st.LeaseStale)
-	fmt.Fprintf(w, "# HELP chkpt_sessions_open Live advisor sessions.\n# TYPE chkpt_sessions_open gauge\nchkpt_sessions_open %d\n", ss.open)
-
-	if hasCache {
-		counter("chkpt_engine_cache_hits_total", "Engine artifact cache hits.", cacheStats.Hits)
-		counter("chkpt_engine_cache_misses_total", "Engine artifact cache misses.", cacheStats.Misses)
-		counter("chkpt_engine_cache_evictions_total", "Engine artifact cache LRU evictions.", cacheStats.Evictions)
-		gauge := func(name, help string, v int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-		}
-		gauge("chkpt_engine_cache_entries", "Live engine cache entries.", int64(cacheStats.Entries))
-		gauge("chkpt_engine_cache_bytes", "Estimated engine cache footprint in bytes.", cacheStats.Bytes)
-		gauge("chkpt_engine_cache_budget_bytes", "Engine cache eviction threshold in bytes.", cacheStats.Budget)
-	}
-}
-
-// trimFloat prints a bucket bound the way Prometheus conventionally does
-// (no trailing zeros).
-func trimFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
 }

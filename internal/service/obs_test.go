@@ -70,7 +70,7 @@ func fetchTraces(t *testing.T, url string) []obs.Span {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("traces status = %d", resp.StatusCode)
 	}
-	var tr TracesResponse
+	var tr struct{ Spans []obs.Span }
 	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestMetricsZeroObservationScrape(t *testing.T) {
 			t.Fatalf("%s count = %v on a fresh server", name, n)
 		}
 		// Every finite bucket renders, not just +Inf: the family carries
-		// len(spanBuckets)+1 bucket samples per series.
+		// len(obs.SpanBuckets)+1 bucket samples per series.
 		var buckets int
 		for _, s := range fam.samples {
 			if key != "" && !strings.Contains(s.labels, key) {
@@ -408,7 +408,7 @@ func TestMetricsZeroObservationScrape(t *testing.T) {
 				buckets++
 			}
 		}
-		if want := len(spanBuckets) + 1; buckets != want {
+		if want := len(obs.SpanBuckets) + 1; buckets != want {
 			t.Fatalf("%s renders %d buckets, want %d", name, buckets, want)
 		}
 	}
@@ -555,7 +555,7 @@ func TestTracesEndpointLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tr TracesResponse
+	var tr struct{ Spans []obs.Span }
 	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
 		t.Fatal(err)
 	}
@@ -570,5 +570,42 @@ func TestTracesEndpointLimit(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("limit=0 status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestMetricsRouteLabels: the request series are labelled with the
+// route the mux matched — every mounted route, including the trace
+// endpoint, gets its own series, session ids collapse into the route
+// template, and a request no route matched counts as "other".
+func TestMetricsRouteLabels(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	sr := createSession(t, ts.URL, sessionSpecJSON(`{"kind": "young"}`))
+	for _, path := range []string{"/v1/debug/traces", "/v1/sessions/" + sr.ID, "/nope"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`chkpt_requests_total{path="/v1/debug/traces",code="200"} 1`,
+		`chkpt_requests_total{path="/v1/sessions/{id}",code="200"} 1`,
+		`chkpt_requests_total{path="other",code="404"} 1`,
+	} {
+		if !strings.Contains(string(body), want+"\n") {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	if strings.Contains(string(body), sr.ID) {
+		t.Errorf("a session id leaked into a metric label")
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/engine"
@@ -90,13 +88,9 @@ type Server struct {
 	store   *sessionStore
 	st      store.Store
 	sweeps  *sweepJobs
-	version string
 	log     *slog.Logger
 	timeout time.Duration
 	handler http.Handler
-	clock   obs.Clock
-	ids     obs.IDSource
-	tracer  *obs.Tracer
 
 	// Lease-claimed sweep execution (see runSweepCells): this replica's
 	// lease owner name and its claim cadence.
@@ -160,10 +154,6 @@ func New(cfg Config) *Server {
 	if clock == nil {
 		clock = obs.NewRealClock()
 	}
-	ids := cfg.IDs
-	if ids == nil {
-		ids = obs.NewRandomIDSource()
-	}
 	replicaID := cfg.ReplicaID
 	if replicaID == "" {
 		replicaID = "replica-" + obs.NewRandomIDSource().NewID()
@@ -180,27 +170,22 @@ func New(cfg Config) *Server {
 	if retryDelay <= 0 {
 		retryDelay = 250 * time.Millisecond
 	}
-	met := newMetrics()
+	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(obs.TracerConfig{
 		Clock:    clock,
 		Capacity: cfg.TraceCapacity,
-		OnEnd:    met.observeSpan,
+		OnEnd:    obs.Stages(reg, remoteStoreOps),
 	})
 	jobsCtx, jobsCancel := context.WithCancel(obs.WithTracer(context.Background(), tracer))
 	s := &Server{
 		eng:        eng,
 		adm:        newAdmission(conc, depth),
 		coal:       newCoalescer(),
-		met:        met,
 		store:      newSessionStore(ttl, maxSessions, st, clock),
 		st:         st,
 		sweeps:     newSweepJobs(),
-		version:    version,
 		log:        logger,
 		timeout:    timeout,
-		clock:      clock,
-		ids:        ids,
-		tracer:     tracer,
 		jobsCtx:    jobsCtx,
 		jobsCancel: jobsCancel,
 
@@ -210,10 +195,10 @@ func New(cfg Config) *Server {
 		sweepRetryDelay: retryDelay,
 	}
 
+	s.register(reg)
+
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/registry", s.handleRegistry)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("GET /v1/recommend", s.handleRecommend)
@@ -223,17 +208,21 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
 	mux.HandleFunc("POST /v1/sweeps", s.handleSweepJobCreate)
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepJobGet)
-	mux.HandleFunc("GET /v1/debug/traces", s.handleTraces)
-	s.handler = s.instrument(mux)
+	s.handler = obs.Serve(mux, obs.ServeConfig{
+		Registry: reg,
+		Tracer:   tracer,
+		Span:     "http.request",
+		IDs:      cfg.IDs,
+		Logger:   logger,
+		Version:  version,
+	})
 	return s
 }
 
-// Handler returns the service's HTTP handler: the API mux wrapped in the
-// access-log and metrics middleware.
+// Handler returns the service's HTTP handler: the API mux, with the
+// obs health, metrics and trace endpoints, wrapped in the request-id,
+// tracing, access-log and metrics middleware.
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// Metrics returns a point-in-time snapshot of the server's counters.
-func (s *Server) Metrics() Snapshot { return s.met.snapshot(s.store.stats(), s.st.Stats()) }
 
 // Close stops the server's background work: it cancels every running
 // sweep-job runner and waits for them to drain. It does not close the
@@ -266,94 +255,4 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 		return context.WithCancel(r.Context())
 	}
 	return context.WithTimeout(r.Context(), s.timeout)
-}
-
-// statusWriter captures the response status and size for the access log,
-// delegating Flush to the underlying writer through Unwrap (the
-// http.ResponseController protocol).
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	n, err := w.ResponseWriter.Write(b)
-	w.bytes += int64(n)
-	return n, err
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// metricsPath collapses unknown request paths into one series: the
-// metrics maps are keyed by path, and without this bound a scanner
-// spraying unique URLs would grow them (and the /metrics exposition)
-// without limit.
-func metricsPath(path string) string {
-	switch path {
-	case "/healthz", "/metrics", "/v1/evaluate", "/v1/sweep", "/v1/recommend", "/v1/registry", "/v1/sessions", "/v1/sweeps":
-		return path
-	}
-	// Session ids are per-client random: collapse them into two series.
-	if strings.HasPrefix(path, "/v1/sessions/") {
-		if strings.HasSuffix(path, "/events") {
-			return "/v1/sessions/{id}/events"
-		}
-		return "/v1/sessions/{id}"
-	}
-	// Sweep-job ids are content hashes: unbounded cardinality, one series.
-	if strings.HasPrefix(path, "/v1/sweeps/") {
-		return "/v1/sweeps/{id}"
-	}
-	return "other"
-}
-
-// instrument wraps the mux with request-id propagation, span tracing,
-// access logging and per-path metrics. The request id (client-supplied
-// X-Request-ID, sanitized, or freshly minted) is echoed on the response,
-// attached to the access log line, and carried on the request context so
-// every span recorded downstream correlates to it.
-func (s *Server) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reqID := obs.SanitizeRequestID(r.Header.Get("X-Request-ID"))
-		if reqID == "" {
-			reqID = s.ids.NewID()
-		}
-		w.Header().Set("X-Request-ID", reqID)
-		ctx := obs.WithRequestID(obs.WithTracer(r.Context(), s.tracer), reqID)
-		ctx, span := obs.StartSpan(ctx, "http.request")
-		span.SetAttr("method", r.Method)
-		span.SetAttr("path", metricsPath(r.URL.Path))
-		r = r.WithContext(ctx)
-
-		sw := &statusWriter{ResponseWriter: w}
-		start := s.clock.Now()
-		next.ServeHTTP(sw, r)
-		dur := s.clock.Now().Sub(start)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		span.SetAttr("status", strconv.Itoa(sw.status))
-		span.End()
-		s.met.observe(metricsPath(r.URL.Path), sw.status, dur)
-		s.log.Info("request",
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.status,
-			"bytes", sw.bytes,
-			"dur_ms", dur.Milliseconds(),
-			"remote", r.RemoteAddr,
-			"request_id", reqID,
-		)
-	})
 }

@@ -108,7 +108,7 @@ func (s *Server) advise(ctx context.Context, ls *liveSession) *advisor.Decision 
 	if fresh {
 		ls.advised = true
 	}
-	s.met.sessionDecision()
+	s.met.decisions.Inc()
 	return &d
 }
 
@@ -177,7 +177,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	if err := s.adm.acquire(ctx); err != nil {
 		if errors.Is(err, errOverload) {
-			s.met.reject()
+			s.met.rejected.Inc()
 			writeError(w, http.StatusTooManyRequests, err)
 			return
 		}
@@ -278,7 +278,7 @@ func (s *Server) getSession(w http.ResponseWriter, r *http.Request, id string) (
 	defer cancel()
 	if err := s.adm.acquire(ctx); err != nil {
 		if errors.Is(err, errOverload) {
-			s.met.reject()
+			s.met.rejected.Inc()
 			writeError(w, http.StatusTooManyRequests, err)
 			return nil, time.Time{}, false
 		}

@@ -160,7 +160,7 @@ func (s *Server) materializeJob(ctx context.Context, es *spec.ExperimentSpec, ha
 		j.completed++
 	}
 	if j.completed > 0 {
-		s.met.sweepCellsRestore(uint64(j.completed))
+		s.met.sweepCellsRestored.Add(uint64(j.completed))
 	}
 	return j, nil
 }
@@ -282,7 +282,7 @@ func (s *Server) computeCells(j *sweepJob, from, end int, ls store.LeaseStore, l
 		if err != nil {
 			return err
 		}
-		s.met.sweepCellCompute()
+		s.met.sweepCellsComputed.Inc()
 		j.mu.Lock()
 		j.completed = res.Index + 1
 		j.wakeLocked()
@@ -316,7 +316,7 @@ func (s *Server) syncWatermark(j *sweepJob) error {
 	if n == 0 {
 		return nil
 	}
-	s.met.sweepCellsRestore(uint64(n))
+	s.met.sweepCellsRestored.Add(uint64(n))
 	j.mu.Lock()
 	if completed+n > j.completed {
 		j.completed = completed + n
@@ -366,7 +366,7 @@ func (s *Server) getJob(ctx context.Context, id string) (*sweepJob, error) {
 		return nil, err
 	}
 	s.sweeps.jobs[id] = j
-	s.met.sweepJobResume()
+	s.met.sweepJobsResumed.Inc()
 	return j, nil
 }
 
@@ -424,9 +424,9 @@ func (s *Server) handleSweepJobCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		s.sweeps.jobs[hash] = j
 		if resumed {
-			s.met.sweepJobResume()
+			s.met.sweepJobsResumed.Inc()
 		} else {
-			s.met.sweepJobCreate()
+			s.met.sweepJobsCreated.Inc()
 		}
 	}
 	s.sweeps.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/advisor"
+	"repro/internal/obs"
 	"repro/internal/spec"
 )
 
@@ -99,6 +100,23 @@ type Stats struct {
 	// fencing rejection (ErrLeaseStale) across renew/release/PutLeased.
 	LeaseAcquired, LeaseRenewed, LeaseReleased uint64
 	LeaseReclaimed, LeaseStale                 uint64
+}
+
+// RegisterStats adds the nine chkpt_store_*_total counters to reg,
+// rendered from one stats snapshot per scrape.
+func RegisterStats(reg *obs.Registry, stats func() Stats) {
+	reg.Collect(func(sc *obs.Scrape) {
+		st := stats()
+		sc.Counter("chkpt_store_appends_total", "Session-log records durably appended.", st.Appends)
+		sc.Counter("chkpt_store_replays_total", "Session logs replayed for recovery.", st.Replays)
+		sc.Counter("chkpt_store_puts_total", "Result-store values written.", st.Puts)
+		sc.Counter("chkpt_store_gets_total", "Result-store lookups (hits and misses).", st.Gets)
+		sc.Counter("chkpt_store_lease_acquired_total", "Leases granted (fresh grants, reclaims and holder re-acquires).", st.LeaseAcquired)
+		sc.Counter("chkpt_store_lease_renewed_total", "Lease renewals accepted under a matching fencing token.", st.LeaseRenewed)
+		sc.Counter("chkpt_store_lease_released_total", "Leases released by their holder.", st.LeaseReleased)
+		sc.Counter("chkpt_store_lease_reclaimed_total", "Expired leases taken over by a new owner.", st.LeaseReclaimed)
+		sc.Counter("chkpt_store_lease_stale_total", "Lease operations fenced off with a stale token.", st.LeaseStale)
+	})
 }
 
 // counters is the atomic tally embedded by both backends.
