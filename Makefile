@@ -47,7 +47,7 @@ bench-smoke:
 # stationary), so a 1x run would record only the cold first iteration.
 # Everything else stays at 1x to keep the pass fast; both streams feed
 # one chkpt-benchjson invocation (the parser handles concatenation).
-PR ?= 15
+PR ?= 17
 ADVISOR_BENCHTIME ?= 20000x
 
 bench-json:
@@ -58,7 +58,9 @@ bench-json:
 
 # Bench-regression gate: rerun the suite with the bench-json recipe and
 # diff against the committed baseline. The generous threshold absorbs
-# shared-runner noise; the alloc gate is exact for zero-alloc pins.
+# shared-runner noise; the alloc gate is exact for zero-alloc pins. CI's
+# bench-smoke job runs this target, so PR above is the one setting that
+# names the gate's baseline.
 BENCH_BASELINE ?= BENCH_$(PR).json
 
 bench-compare:

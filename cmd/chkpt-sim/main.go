@@ -57,6 +57,9 @@ func main() {
 	if err != nil {
 		cliutil.Fatal(tool, err)
 	}
+	// One scope per invocation: every experiment it runs shares trace
+	// sets and post-failure grids.
+	eng = eng.Scope()
 
 	var es *spec.ExperimentSpec
 	if *specFile != "" {

@@ -48,6 +48,9 @@ func main() {
 	if err != nil {
 		cliutil.Fatal(tool, err)
 	}
+	// One scope per invocation: every experiment it runs shares trace
+	// sets and post-failure grids.
+	eng = eng.Scope()
 	p := exper.Params{Full: *full, Traces: runf.Traces, Seed: runf.Seed, CSV: *csv, Quanta: *quanta, PeriodLBTraces: *plbTraces, Engine: eng}
 
 	ctx, stop := cliutil.SignalContext()

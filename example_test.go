@@ -81,8 +81,9 @@ func ExampleNewSession() {
 // ExampleNewEngine evaluates the paper's policy set on a small scenario
 // through the parallel experiment engine, twice with different worker
 // counts against one shared cache: the worker count never changes the
-// result, and the second evaluation reuses the first one's traces and
-// planning tables instead of recomputing them.
+// result, and the second evaluation reuses the first one's planner
+// instead of recomputing it. (Trace sets are seeded, so each evaluation
+// draws its own; only an engine scope would share them.)
 func ExampleNewEngine() {
 	law := checkpoint.NewExponentialMean(checkpoint.Day)
 	sc := checkpoint.Scenario{
@@ -108,6 +109,12 @@ func ExampleNewEngine() {
 		panic(err)
 	}
 	ev1, err := checkpoint.EvaluateWith(context.Background(), sequential, sc, cands)
+	if err != nil {
+		panic(err)
+	}
+	// The second candidate set takes the DPNextFailure planner, with its
+	// memoized first plan, from the shared cache.
+	cands, err = checkpoint.StandardCandidatesWith(context.Background(), parallel, sc, cfg)
 	if err != nil {
 		panic(err)
 	}

@@ -132,6 +132,30 @@ func BenchmarkSessionDPNextFailureStepCold(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionDPNextFailureStepWeibull is the ...StepCold failure
+// pattern on the paper's Weibull law (125-year unit MTBF, shape 0.7) at
+// the resolution of the sessions benchmark spec. The other session rungs
+// plan on an Exponential law, whose cumulative hazard is one division;
+// here every survival-grid entry costs a math.Pow per age group, so this
+// rung shows what the grid fill costs a re-plan.
+func BenchmarkSessionDPNextFailureStepWeibull(b *testing.B) {
+	law := dist.WeibullFromMeanShape(125*365.25*86400, 0.7)
+	planner := policy.NewDPNextFailurePlanner(law, law.Mean(), policy.WithQuanta(60))
+	sess, err := advisor.NewSession(advisor.Config{
+		Job:    benchJob(),
+		Policy: planner.NewPolicy(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	unit := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dpnfFailureStep(b, sess, i, &unit)
+	}
+}
+
 // BenchmarkSessionDPNextFailureStepCoarse is the cold pattern with the
 // opt-in coarse re-planning mode: post-failure solves run at 12 quanta on
 // the 256-point grid instead of 60 on 1024.

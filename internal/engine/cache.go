@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 
@@ -17,10 +18,12 @@ import (
 const DefaultCacheBudget = 256 << 20
 
 // Cache memoizes the expensive artifacts shared across experiment cells:
-// DPMakespan tables, DPNextFailure planners and failure-trace sets. Every
-// entry is built at most once (concurrent requests for the same key block
-// on the first builder), and entries are evicted least-recently-used once
-// the estimated byte footprint exceeds the budget. All cached artifacts are
+// in an engine's process cache, DPMakespan tables, DPNextFailure planners
+// and pristine survival grids; in a scope's, failure-trace sets and
+// post-failure survival grids (see Engine.Scope). Every entry is built at
+// most once (concurrent requests for the same key block on the first
+// builder), and entries are evicted least-recently-used once the
+// estimated byte footprint exceeds the budget. All cached artifacts are
 // deterministic pure functions of their key, so cache hits never change
 // experiment output — they only skip recomputation.
 type Cache struct {
@@ -83,6 +86,19 @@ func (c *Cache) Stats() CacheStats {
 		Bytes:     c.used,
 		Budget:    c.budget,
 	}
+}
+
+// Keys returns the keys of the live entries, sorted: what the cache holds,
+// for inspection.
+func (c *Cache) Keys() []string {
+	c.mu.Lock()
+	keys := make([]string, 0, len(c.entries))
+	for k := range c.entries {
+		keys = append(keys, k)
+	}
+	c.mu.Unlock()
+	sort.Strings(keys)
+	return keys
 }
 
 // artifactKind returns the cache key's type tag (the segment before the
@@ -156,9 +172,10 @@ func (c *Cache) lookup(key string, build func() (any, int64, error)) (any, bool,
 // Do is the exported build-once lookup with the same semantics as
 // lookup: one build per live key, concurrent requesters block on the
 // first builder, errors are not cached. It satisfies policy.SharedCache
-// so DPNextFailure planners can share survival grids through the engine
-// cache (see Engine.SharedGridOptions). Unlike the engine's own getters
-// it records no span: its callers run deep inside an instrumented cell.
+// so DPNextFailure planners and instances can share survival grids
+// through the engine's caches (see Engine.SharedGridOptions and
+// Engine.DPNextFailure). Unlike the engine's own getters it records no
+// span: its callers run deep inside an instrumented cell.
 func (c *Cache) Do(key string, build func() (artifact any, weight int64, err error)) (any, error) {
 	v, _, err := c.lookup(key, build)
 	return v, err

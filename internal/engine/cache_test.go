@@ -242,13 +242,14 @@ func TestDistKeyDistinguishesParameters(t *testing.T) {
 }
 
 // TestDPNextFailureSharedGrids pins the survival-grid sharing path: two
-// sessions of the engine-cached planner replanning the same failure state
-// must serve the second grid from the cache (hits increase, no second
-// miss for the grid key) and decide bit-identically — a cached grid is a
-// pure function of its key, so sharing never changes decisions.
+// instances of the engine-cached planner created in one scope and
+// replanning the same failure state must serve the second grid from the
+// scope's cache (hits increase, no second miss for the grid key) and
+// decide bit-identically — a cached grid is a pure function of its key,
+// so sharing never changes decisions.
 func TestDPNextFailureSharedGrids(t *testing.T) {
 	law := dist.WeibullFromMeanShape(2e6, 0.7)
-	e := New(Config{Workers: 1, Cache: NewCache(0)})
+	e := New(Config{Workers: 1, Cache: NewCache(0)}).Scope()
 	planner := e.DPNextFailurePlanner(context.Background(), law, 2e6, 20)
 
 	job := &sim.Job{Work: 1e12, C: 400, R: 400, D: 60, Units: 8}
@@ -261,23 +262,23 @@ func TestDPNextFailureSharedGrids(t *testing.T) {
 			LastRenewal: renew, FailedUnits: []int32{1, 4}, Failures: 2}
 	}
 
-	p1 := planner.NewPolicy()
+	p1 := e.DPNextFailure(planner)
 	if err := p1.Start(job); err != nil {
 		t.Fatal(err)
 	}
-	before := e.Cache().Stats()
+	before := e.scope.Stats()
 	c1 := p1.NextChunk(state())
-	mid := e.Cache().Stats()
+	mid := e.scope.Stats()
 	if mid.Misses != before.Misses+1 {
 		t.Fatalf("first replan should miss once for the shared grid: misses %d -> %d", before.Misses, mid.Misses)
 	}
 
-	p2 := planner.NewPolicy()
+	p2 := e.DPNextFailure(planner)
 	if err := p2.Start(job); err != nil {
 		t.Fatal(err)
 	}
 	c2 := p2.NextChunk(state())
-	after := e.Cache().Stats()
+	after := e.scope.Stats()
 	if after.Misses != mid.Misses {
 		t.Fatalf("second replan rebuilt the shared grid: misses %d -> %d", mid.Misses, after.Misses)
 	}
@@ -298,5 +299,43 @@ func TestDPNextFailureSharedGrids(t *testing.T) {
 	}
 	if c3 := p3.NextChunk(state()); math.Float64bits(c3) != math.Float64bits(c1) {
 		t.Fatalf("unshared decision diverged: %v vs %v", c3, c1)
+	}
+}
+
+// TestScopeSharedAcrossWorkers runs one scope's cells concurrently: every
+// cell fetches the same trace set and re-plans the same post-failure
+// state on its own DPNextFailure instance. Each artifact is built once
+// and served to all cells, and every decision is bit-identical.
+func TestScopeSharedAcrossWorkers(t *testing.T) {
+	law := dist.WeibullFromMeanShape(2e6, 0.7)
+	s := New(Config{Workers: 4, Cache: NewCache(0)}).Scope()
+	planner := s.DPNextFailurePlanner(context.Background(), law, 2e6, 20)
+	job := &sim.Job{Work: 1e12, C: 400, R: 400, D: 60, Units: 8}
+	type out struct {
+		set   any
+		chunk float64
+	}
+	res, err := Run(context.Background(), s, 16, func(int) (out, error) {
+		set := s.GenerateTraces(context.Background(), law, 8, 1e7, 60, 3)
+		p := s.DPNextFailure(planner)
+		if err := p.Start(job); err != nil {
+			return out{}, err
+		}
+		renew := make([]float64, 8)
+		renew[1], renew[4] = 6e5, 3e5
+		chunk := p.NextChunk(&sim.State{Job: job, Now: 1e6, Remaining: job.Work,
+			LastRenewal: renew, FailedUnits: []int32{1, 4}, Failures: 2})
+		return out{set, chunk}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.set != res[0].set || math.Float64bits(r.chunk) != math.Float64bits(res[0].chunk) {
+			t.Fatalf("cell %d got another trace set or decision (%v vs %v)", i, r.chunk, res[0].chunk)
+		}
+	}
+	if st := s.scope.Stats(); st.Misses != 2 || st.Entries != 2 {
+		t.Fatalf("scope stats %+v, want the trace set and one grid, each built once", st)
 	}
 }

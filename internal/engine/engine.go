@@ -20,8 +20,10 @@ type Config struct {
 	// Workers bounds the number of cells executed concurrently by one
 	// Run/Stream call. Non-positive means runtime.GOMAXPROCS(0).
 	Workers int
-	// Cache memoizes the expensive shared artifacts (DPMakespan tables,
-	// DPNextFailure planners, failure-trace sets). Nil disables caching.
+	// Cache memoizes the expensive seed-free artifacts (DPMakespan
+	// tables, DPNextFailure planners and their pristine survival grids)
+	// for the whole process, and enables scopes (Engine.Scope) for the
+	// seeded ones. Nil disables caching.
 	Cache *Cache
 }
 
@@ -31,7 +33,8 @@ type Config struct {
 // spawns its own worker set, so nesting cannot deadlock).
 type Engine struct {
 	workers int
-	cache   *Cache
+	cache   *Cache // process tier: artifacts whose key carries no seed
+	scope   *Cache // this scope's tier (Scope); nil outside a scope
 }
 
 // New builds an engine from the configuration.
@@ -63,13 +66,32 @@ func or(e *Engine) *Engine {
 // Workers returns the concurrency bound.
 func (e *Engine) Workers() int { return e.workers }
 
-// Cache returns the engine's artifact cache (nil when caching is off).
+// Cache returns the engine's process-wide artifact cache (nil when
+// caching is off); a scope returns its parent's.
 func (e *Engine) Cache() *Cache { return e.cache }
 
+// Scope returns a view of the engine for one request, sweep job or CLI
+// invocation: the same workers and the same process cache for seed-free
+// artifacts, plus a fresh cache with the process cache's byte budget for
+// the artifacts whose key carries a seed or a post-failure age set —
+// renewal trace sets (GenerateTraces) and the survival grids
+// DPNextFailure instances build after the pristine state (DPNextFailure).
+// The scope's cells share those, and they go with the scope: no later
+// request could hit them, so the process cache never holds them. A scope,
+// and an engine without a cache, is its own scope.
+func (e *Engine) Scope() *Engine {
+	e = or(e)
+	if e.scope != nil || e.cache == nil {
+		return e
+	}
+	return &Engine{workers: e.workers, cache: e.cache, scope: NewCache(e.cache.budget)}
+}
+
 // SharedGridOptions returns the DPNextFailure planner options that wire
-// survival-grid sharing to this engine's cache, keyed by the canonical
-// law identity. Empty when the engine runs without a cache. A cached grid
-// is a pure function of its key, so sharing never changes decisions.
+// pristine survival-grid sharing to this engine's process cache, keyed by
+// the canonical law identity. Empty when the engine runs without a cache.
+// A cached grid is a pure function of its key, so sharing never changes
+// decisions.
 func (e *Engine) SharedGridOptions(d dist.Distribution) []policy.DPNextFailureOption {
 	e = or(e)
 	if e.cache == nil {
@@ -78,10 +100,23 @@ func (e *Engine) SharedGridOptions(d dist.Distribution) []policy.DPNextFailureOp
 	return []policy.DPNextFailureOption{policy.WithSharedGrids(e.cache, distKey(d))}
 }
 
-// CacheStats returns a point-in-time snapshot of the engine cache's
-// counters. ok is false when the engine runs without a cache; the snapshot
-// is then zero. It is the stable accessor behind operational surfaces
-// (chkpt-sim -v, the serving layer's /metrics).
+// DPNextFailure returns a fresh per-run instance of the planner's policy.
+// Inside a scope the instance shares the survival grids of its
+// post-failure states with the scope's other instances; elsewhere it
+// keeps them in its own scratch.
+func (e *Engine) DPNextFailure(pl *policy.DPNextFailurePlanner) *policy.DPNextFailure {
+	e = or(e)
+	if e.scope == nil {
+		return pl.NewPolicy()
+	}
+	return pl.NewScopedPolicy(e.scope)
+}
+
+// CacheStats returns a point-in-time snapshot of the process cache's
+// counters (a scope reports its parent's). ok is false when the engine
+// runs without a cache; the snapshot is then zero. It is the stable
+// accessor behind operational surfaces (chkpt-sim -v, the serving layer's
+// /metrics).
 func (e *Engine) CacheStats() (stats CacheStats, ok bool) {
 	e = or(e)
 	if e.cache == nil {
@@ -92,8 +127,8 @@ func (e *Engine) CacheStats() (stats CacheStats, ok bool) {
 
 // WithoutCache returns a view of the engine with the same worker pool but
 // no cache. Use it for artifacts that can never be requested twice (e.g.
-// trace sets with process-unique seeds): inserting those into the cache
-// only burns budget and evicts entries that are genuinely shared.
+// trace sets with run-unique seeds): inserting those into a scope only
+// burns budget and evicts entries that are genuinely shared.
 func (e *Engine) WithoutCache() *Engine {
 	e = or(e)
 	if e.cache == nil {
@@ -263,21 +298,22 @@ func Stream[T any](ctx context.Context, e *Engine, n int, fn func(i int) (T, err
 }
 
 // GenerateTraces returns the renewal failure-trace set for the given law,
-// unit count, horizon, downtime and seed — through the cache when the
-// engine has one, and generated block-parallel on the worker pool
-// otherwise. The per-unit rng substreams make the result bit-identical to
-// trace.GenerateRenewal for every worker count. The context carries
-// observability only (the cache resolution span and per-block generation
-// spans); generation is not cancellable — a cached artifact is built to
-// completion or not at all.
+// unit count, horizon, downtime and seed — through the scope's cache
+// inside a scope, and generated block-parallel on the worker pool
+// otherwise (a seeded set never enters the process cache). The per-unit
+// rng substreams make the result bit-identical to trace.GenerateRenewal
+// for every worker count. The context carries observability only (the
+// cache resolution span and per-block generation spans); generation is
+// not cancellable — a cached artifact is built to completion or not at
+// all.
 func (e *Engine) GenerateTraces(ctx context.Context, d dist.Distribution, units int, horizon, downtime float64, seed uint64) *trace.Set {
 	e = or(e)
-	if e.cache == nil {
+	if e.scope == nil {
 		return e.generateTraces(ctx, d, units, horizon, downtime, seed)
 	}
 	key := fmt.Sprintf("trace|%s|%d|%x|%x|%d",
 		distKey(d), units, math.Float64bits(horizon), math.Float64bits(downtime), seed)
-	v, _ := e.cache.do(ctx, key, func() (any, int64, error) {
+	v, _ := e.scope.do(ctx, key, func() (any, int64, error) {
 		s := e.generateTraces(ctx, d, units, horizon, downtime, seed)
 		return s, traceSetWeight(s), nil
 	})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -163,19 +164,57 @@ func TestGenerateTracesMatchesSequentialGeneration(t *testing.T) {
 
 func TestGenerateTracesCachesSets(t *testing.T) {
 	law := dist.NewExponentialMean(1e5)
-	c := NewCache(0)
-	e := New(Config{Workers: 2, Cache: c})
+	e := New(Config{Workers: 2, Cache: NewCache(0)}).Scope()
 	a := e.GenerateTraces(context.Background(), law, 16, 1e7, 60, 5)
 	b := e.GenerateTraces(context.Background(), law, 16, 1e7, 60, 5)
 	if a != b {
 		t.Fatal("second generation did not hit the cache")
 	}
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+	if st := e.scope.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
 	// A different seed is a different artifact.
 	if c2 := e.GenerateTraces(context.Background(), law, 16, 1e7, 60, 6); c2 == a {
 		t.Fatal("distinct seeds shared a cache entry")
+	}
+}
+
+// TestScopeTiers pins where artifacts live: a scope runs on its
+// parent's workers and process cache, which keeps the seed-free planners
+// and tables, while trace sets go to the scope's own cache — shared
+// inside the scope, never seen by another scope or by the process cache.
+func TestScopeTiers(t *testing.T) {
+	ctx := context.Background()
+	law := dist.NewExponentialMean(1e5)
+	c := NewCache(0)
+	e := New(Config{Workers: 3, Cache: c})
+	s := e.Scope()
+	if s == e || s.Scope() != s || s.Workers() != 3 || s.Cache() != c {
+		t.Fatal("a scope must be a new view over the same workers and process cache, and its own scope")
+	}
+	if bare := New(Config{Workers: 1}); bare.Scope() != bare {
+		t.Fatal("a cacheless engine should be its own scope")
+	}
+	if e.GenerateTraces(ctx, law, 16, 1e7, 60, 5) == e.GenerateTraces(ctx, law, 16, 1e7, 60, 5) {
+		t.Fatal("the process engine cached a trace set")
+	}
+	set := s.GenerateTraces(ctx, law, 16, 1e7, 60, 5)
+	planner := s.DPNextFailurePlanner(ctx, law, 1e5, 10)
+	if keys := c.Keys(); len(keys) != 1 || !strings.HasPrefix(keys[0], "dpnf|") {
+		t.Fatalf("process cache holds %q, want only the planner", keys)
+	}
+	if st := s.scope.Stats(); st.Entries != 1 {
+		t.Fatalf("scope holds %d entries, want the trace set", st.Entries)
+	}
+	other := e.Scope()
+	if other.DPNextFailurePlanner(ctx, law, 1e5, 10) != planner {
+		t.Fatal("a second scope rebuilt the planner")
+	}
+	if other.GenerateTraces(ctx, law, 16, 1e7, 60, 5) == set {
+		t.Fatal("a second scope saw the first scope's trace set")
+	}
+	if st, ok := s.CacheStats(); !ok || st != c.Stats() {
+		t.Fatalf("a scope's CacheStats = %+v, want the process cache's %+v", st, c.Stats())
 	}
 }
 

@@ -27,9 +27,11 @@ type Params struct {
 	// PeriodLBTraces overrides the PeriodLB search trace count.
 	PeriodLBTraces int
 	// Engine executes the experiment's cells: its worker pool bounds
-	// concurrency and its cache shares DP tables, planners and traces
-	// across cells. Nil means engine.Default(). The worker count never
-	// changes experiment output.
+	// concurrency and its cache shares DP tables and planners across
+	// cells. Each run is one scope of it (engine.Engine.Scope), so its
+	// cells also share trace sets and post-failure grids — across runs
+	// too when Engine already is a scope. Nil means engine.Default(). The
+	// worker count never changes experiment output.
 	Engine *engine.Engine
 }
 
@@ -93,6 +95,11 @@ var order []string
 func register(e Experiment) {
 	if _, dup := registry[e.ID]; dup {
 		panic(fmt.Sprintf("exper: duplicate experiment id %q", e.ID))
+	}
+	run := e.Run
+	e.Run = func(ctx context.Context, w io.Writer, p Params) error {
+		p.Engine = p.engine().Scope()
+		return run(ctx, w, p)
 	}
 	registry[e.ID] = e
 	order = append(order, e.ID)

@@ -64,10 +64,14 @@ func StandardCandidates(ctx context.Context, sc Scenario, cfg CandidateConfig) (
 // expensive shared planning structures — the DPMakespan table and the
 // DPNextFailure planner — come from the engine's cache, so scenarios (or
 // repeated runs) sharing a (law, job geometry, quanta) key build them once.
+// The DPNextFailure instances share their post-failure survival grids
+// through eng's scope, or through a scope of their own when eng is not
+// one.
 func StandardCandidatesWith(ctx context.Context, eng *engine.Engine, sc Scenario, cfg CandidateConfig) ([]Candidate, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	eng = eng.Scope()
 	d, err := sc.Derive()
 	if err != nil {
 		return nil, err
@@ -124,7 +128,7 @@ func StandardCandidatesWith(ctx context.Context, eng *engine.Engine, sc Scenario
 		// plan memo turns the per-trace initial DP solve into a lookup.
 		planner := eng.DPNextFailurePlanner(ctx, sc.Dist, d.UnitMean, cfg.DPNextFailureQuanta)
 		out = append(out, Candidate{Name: "DPNextFailure", New: func() (sim.Policy, error) {
-			return planner.NewPolicy(), nil
+			return eng.DPNextFailure(planner), nil
 		}})
 	}
 

@@ -136,9 +136,9 @@ type traceCell struct {
 // EvaluateWith runs the evaluation on the given engine: traces execute
 // concurrently on its worker pool (the worker count never changes the
 // result — cells are aggregated by trace index), and failure traces are
-// drawn through its cache so scenarios that share (law, geometry, seed)
-// cells reuse them. Cancelling the context aborts in-flight simulations
-// and returns ctx.Err() promptly.
+// drawn through its scope, when it is one, so scenarios of that scope
+// that share (law, geometry, seed) cells reuse them. Cancelling the
+// context aborts in-flight simulations and returns ctx.Err() promptly.
 func EvaluateWith(ctx context.Context, eng *engine.Engine, sc Scenario, cands []Candidate) (*Evaluation, error) {
 	d, err := sc.Derive()
 	if err != nil {

@@ -65,8 +65,9 @@ func SearchPeriodLBWith(ctx context.Context, eng *engine.Engine, sc Scenario, cf
 		return 0, fmt.Errorf("harness: PeriodLB needs eval traces")
 	}
 
-	// Pre-generate the shared evaluation traces (through the engine cache,
-	// so repeated searches on the same scenario reuse them).
+	// Pre-generate the shared evaluation traces (through the engine's
+	// scope, so repeated searches on the same scenario in one scope reuse
+	// them).
 	searchSc := sc
 	searchSc.Seed ^= cfg.SeedOffset
 	sets := make([]*trace.Set, cfg.EvalTraces)

@@ -36,10 +36,20 @@
 // for the age groups, the survival grid and the DP value/argmin tables,
 // reuses the grid when its inputs are bitwise unchanged, and serves the
 // previous plan outright when the whole decision state is — so the
-// post-failure hot path is allocation-free and often solve-free.
-// Sessions on the same (law, platform) can additionally share survival
-// grids through an engine cache (WithSharedGrids, wired by
-// engine.SharedGridOptions). None of this changes a single decision:
+// post-failure hot path is allocation-free and often solve-free. Grids of
+// at most four age groups can also be shared: the pristine state's across
+// planners through a process-wide cache (WithSharedGrids, wired by
+// engine.SharedGridOptions), and later states' across the instances of one
+// scope (NewScopedPolicy, wired by engine.Engine.DPNextFailure) — their
+// keys carry post-failure ages that only that scope's runs meet. An
+// instance-owned grid of more groups is filled only where the solve reads
+// it: listGridReads walks the solve's states and candidates with its own
+// float expressions and lists the entries survivalGrid.at touches (a
+// quarter to two thirds of the grid at 30 quanta, nearly all at 150), the
+// list is kept while (x, u, c) stays, and each listed entry is computed
+// exactly as a complete fill computes it. A partly filled grid is never
+// shared, and is reused only for the (x, u, c) it was listed for.
+// None of this changes a single decision:
 // exact-mode plans are bit-identical to the frozen from-scratch solver
 // in dpnextfailure_reference.go, which exists solely as the oracle for
 // the differential suite (dpnf_differential_test.go) and

@@ -51,9 +51,13 @@ import (
 //   - The horizon cap min(2*MTBF/p, 30 Young periods) is hoisted into
 //     Start — it depends only on the job, not the state.
 //   - The survival grid is rebuilt only when its inputs (age groups,
-//     horizon, resolution) actually changed, and can be shared across
-//     sessions on the same (law, platform) through an engine cache via
-//     WithSharedGrids.
+//     horizon, resolution) actually changed. The pristine state's grid
+//     can be shared across planners through a process-wide cache
+//     (WithSharedGrids), and the grids of later states across the
+//     instances of one scope (NewScopedPolicy).
+//   - An instance-owned grid of more than sharedGridMaxGroups groups is
+//     filled only at the entries the solve reads (listGridReads), each
+//     computed exactly as a full fill computes it.
 //   - Candidate chunks whose provable upper bound e^d <= 1+d+d^2/2
 //     (valid for d <= 0) cannot beat the incumbent skip the math.Exp
 //     call; a 1e-9 relative slack absorbs float rounding so the argmax —
@@ -71,10 +75,11 @@ type DPNextFailurePlanner struct {
 	nApprox  int
 	halfPlan bool
 
-	// grids, when non-nil, shares built survival grids across sessions
-	// keyed by (lawKey, age groups, horizon, resolution). Consulted only
-	// for small group counts: key construction allocates, and large group
-	// sets are session-specific anyway.
+	// grids, when non-nil, shares the pristine state's survival grid
+	// across planners, keyed by (lawKey, age groups, horizon,
+	// resolution). Its key carries no seed and no post-failure age, so it
+	// is safe in a process-wide cache; later states share through the
+	// instance's scope instead (DPNextFailure.grids).
 	grids  SharedCache
 	lawKey string
 
@@ -86,7 +91,7 @@ type DPNextFailurePlanner struct {
 }
 
 // SharedCache is the minimal surface of a build-once artifact cache used
-// to share survival grids across planner instances; engine.Cache
+// to share survival grids across planners and instances; engine.Cache
 // implements it. build returns the artifact and its weight in bytes.
 type SharedCache interface {
 	Do(key string, build func() (artifact any, weight int64, err error)) (any, error)
@@ -113,6 +118,9 @@ type DPNextFailure struct {
 	cursor     int
 	failures   int
 	rp         *replanScratch
+	// grids, when non-nil, shares the survival grids of non-pristine
+	// states with the other instances of the same scope (NewScopedPolicy).
+	grids SharedCache
 }
 
 // DPNextFailureOption customizes the policy.
@@ -149,10 +157,11 @@ func WithCoarseQuanta(n int) DPNextFailureOption {
 	return func(p *DPNextFailure) { p.planner.coarse = n }
 }
 
-// WithSharedGrids wires the planner to a cross-session artifact cache for
-// survival grids. lawKey must uniquely identify the failure law (the
-// engine uses its canonical distribution key); grids are further keyed by
-// the exact bit patterns of the age groups and horizon, so a cache hit is
+// WithSharedGrids wires the planner to a process-wide artifact cache for
+// the pristine state's survival grid, and names the law for every grid
+// key. lawKey must uniquely identify the failure law (the engine uses its
+// canonical distribution key); grids are further keyed by the exact bit
+// patterns of the age groups and horizon, so a cache hit is
 // bitwise-equivalent to building the grid locally.
 func WithSharedGrids(c SharedCache, lawKey string) DPNextFailureOption {
 	return func(p *DPNextFailure) { p.planner.grids, p.planner.lawKey = c, lawKey }
@@ -167,9 +176,25 @@ func NewDPNextFailurePlanner(d dist.Distribution, unitMean float64, opts ...DPNe
 }
 
 // NewPolicy returns a fresh per-run policy instance over the shared
-// planner.
+// planner. Its grids for states past the pristine one stay in its own
+// scratch.
 func (pl *DPNextFailurePlanner) NewPolicy() *DPNextFailure {
 	return &DPNextFailure{planner: pl}
+}
+
+// NewScopedPolicy returns a fresh per-run policy instance that shares
+// the survival grids of its non-pristine states (up to
+// sharedGridMaxGroups age groups) through grids: typically the cache of
+// one request or run, whose other instances meet the same post-failure
+// ages. Grid keys carry the planner's law key, so a planner built
+// without WithSharedGrids shares nothing. Shared grids are always filled
+// completely.
+func (pl *DPNextFailurePlanner) NewScopedPolicy(grids SharedCache) *DPNextFailure {
+	p := pl.NewPolicy()
+	if pl.lawKey != "" {
+		p.grids = grids
+	}
+	return p
 }
 
 // NewDPNextFailure returns a fresh per-run policy instance backed by its
@@ -243,7 +268,7 @@ func (p *DPNextFailure) NextChunk(s *sim.State) float64 {
 		p.failures = s.Failures
 	}
 	if p.cursor >= len(p.plan) {
-		if s.Failures == 0 && len(s.FailedUnits) == 0 && s.Remaining == s.Job.Work {
+		if pristine(s) {
 			// Failure-free initial state: identical for every trace of the
 			// scenario, so the plan is memoized on the shared planner.
 			p.plan = p.planner.pristinePlan(p, s)
@@ -260,6 +285,12 @@ func (p *DPNextFailure) NextChunk(s *sim.State) float64 {
 	chunk := p.plan[p.cursor]
 	p.cursor++
 	return math.Min(chunk, s.Remaining)
+}
+
+// pristine reports whether s is a failure-free initial state: identical
+// for every trace of a scenario.
+func pristine(s *sim.State) bool {
+	return s.Failures == 0 && len(s.FailedUnits) == 0 && s.Remaining == s.Job.Work
 }
 
 // pristinePlan returns the memoized plan for a failure-free state. The
@@ -294,11 +325,12 @@ const (
 	gridPoints       = 1024
 	coarseGridPoints = 256
 
-	// sharedGridMaxGroups bounds when the cross-session grid cache is
-	// consulted: key construction allocates, and states with many distinct
-	// ages are effectively unique to their session anyway. Small counts
-	// (the pristine single group, the first few failures) are exactly the
-	// ones many sessions share.
+	// sharedGridMaxGroups bounds when a grid cache is consulted: key
+	// construction allocates, and states with many distinct ages are
+	// effectively unique to their instance anyway. Small counts (the
+	// pristine single group, the first few failures) are exactly the ones
+	// many instances share. An instance-owned grid of more groups is
+	// filled only where the solve reads it.
 	sharedGridMaxGroups = 4
 
 	// dpBoundSlack absorbs float rounding between the pruning upper bound
@@ -320,13 +352,27 @@ type replanScratch struct {
 	// The survival grid last used, with the signature it was built from.
 	// grid may point at ownGrid (backed by gbuf) or at a cache-shared,
 	// immutable grid; the signature makes reuse decisions identical either
-	// way.
-	grid       *survivalGrid
-	ownGrid    survivalGrid
-	gbuf       []float64
-	gridGroups []taugroup
-	gridTmax   float64
-	gridN      int
+	// way. gridPartial marks an ownGrid filled only at reads, which is
+	// valid for the (x, u, c) of reads alone.
+	grid        *survivalGrid
+	ownGrid     survivalGrid
+	gbuf        []float64
+	gridGroups  []taugroup
+	gridTmax    float64
+	gridN       int
+	gridPartial bool
+
+	// The grid indices a solve of (readsX, readsU, readsC) on a grid of
+	// readsN intervals reads, kept while re-plans keep that configuration
+	// (a run truncated at its horizon cap keeps u), and the marking slab
+	// listGridReads uses.
+	reads    []int32
+	readMark []bool
+	readsX   int
+	readsU   float64
+	readsC   float64
+	readsN   int
+	readsOK  bool
 
 	// DP slabs. val's first row (rem = 0) is all zeros and is never
 	// written by a solve; solvedX tracks the stride the slab was last used
@@ -376,17 +422,25 @@ func (p *DPNextFailure) replan(s *sim.State) []float64 {
 	sc := p.scratch()
 	groups := pl.buildGroupsInto(s, sc)
 
-	gridFresh := sc.grid != nil && sc.gridN == gridN && sc.gridTmax == tmax && sameGroups(groups, sc.gridGroups)
+	// Two (x, u, c) can share tmax bits and still read different
+	// entries, so a partly filled grid is fresh only for its own.
+	gridFresh := sc.grid != nil && sc.gridN == gridN && sc.gridTmax == tmax && sameGroups(groups, sc.gridGroups) &&
+		(!sc.gridPartial || sc.readsX == x && sc.readsU == u && sc.readsC == c)
 	if sc.planOK && gridFresh && sc.prevX == x && sc.prevU == u && sc.prevC == c && sc.prevTrunc == truncated {
 		// Bitwise-identical inputs: the previous solve's plan is this
 		// state's plan.
 		return pl.finishPlan(sc, truncated)
 	}
+	sc.setIU(x, u)
 	if !gridFresh {
-		sc.acquireGrid(pl, groups, tmax, gridN)
+		shared := p.grids
+		if pristine(s) {
+			shared = pl.grids
+		}
+		sc.acquireGrid(pl, shared, groups, x, u, c, tmax, gridN)
 	}
 
-	pl.solveInto(sc, x, u, c)
+	pl.solveInto(sc, x, c)
 	sc.prevU, sc.prevC, sc.prevX, sc.prevTrunc, sc.planOK = u, c, x, truncated, true
 	return pl.finishPlan(sc, truncated)
 }
@@ -414,22 +468,31 @@ func sameGroups(a, b []taugroup) bool {
 	return true
 }
 
-// acquireGrid points sc.grid at a survival grid for (groups, tmax, gridN):
-// a cache-shared one when the planner has a grid cache and the group set
-// is small, otherwise one (re)built into the instance-owned slab. Both
-// paths produce bitwise-identical grids.
-func (sc *replanScratch) acquireGrid(pl *DPNextFailurePlanner, groups []taugroup, tmax float64, gridN int) {
+// acquireGrid points sc.grid at a survival grid for (groups, tmax, gridN)
+// that the solve of x quanta of size u with checkpoint cost c can read: a
+// complete one from shared when it is non-nil and the group set is small,
+// otherwise one built into the instance-owned slab — completely for a
+// small group set, at the entries the solve reads for a large one. Every
+// path computes each entry it fills exactly as newSurvivalGrid does.
+func (sc *replanScratch) acquireGrid(pl *DPNextFailurePlanner, shared SharedCache, groups []taugroup, x int, u, c, tmax float64, gridN int) {
 	var grid *survivalGrid
-	if pl.grids != nil && len(groups) <= sharedGridMaxGroups {
-		grid = pl.sharedGrid(groups, tmax, gridN)
+	small := len(groups) <= sharedGridMaxGroups
+	if shared != nil && small {
+		grid = pl.sharedGrid(shared, groups, tmax, gridN)
 	}
+	sc.gridPartial = false
 	if grid == nil {
 		need := gridN + 2
 		if cap(sc.gbuf) < need {
 			sc.gbuf = make([]float64, need)
 		}
 		sc.ownGrid.g = sc.gbuf[:need]
-		fillSurvivalGrid(&sc.ownGrid, pl.d, groups, tmax, gridN)
+		idx := allGridIndices[:need]
+		if !small {
+			idx = sc.gridReads(x, u, c, tmax, gridN)
+			sc.gridPartial = true
+		}
+		fillSurvivalGrid(&sc.ownGrid, pl.d, groups, tmax, gridN, idx)
 		grid = &sc.ownGrid
 	}
 	sc.grid = grid
@@ -439,14 +502,30 @@ func (sc *replanScratch) acquireGrid(pl *DPNextFailurePlanner, groups []taugroup
 	sc.planOK = false
 }
 
-// sharedGrid fetches (building once across all sessions) the grid from
-// the planner's shared cache. Returns nil on any cache error so the
-// caller falls back to a local build.
-func (pl *DPNextFailurePlanner) sharedGrid(groups []taugroup, tmax float64, gridN int) *survivalGrid {
+// gridReads returns the grid indices the solve of x quanta of size u
+// (sc.iu, set by setIU) with checkpoint cost c reads on a grid of n
+// intervals over tmax, listing them only when that configuration differs
+// from the last one listed.
+func (sc *replanScratch) gridReads(x int, u, c, tmax float64, n int) []int32 {
+	if sc.readsOK && sc.readsX == x && sc.readsU == u && sc.readsC == c && sc.readsN == n {
+		return sc.reads
+	}
+	if cap(sc.readMark) < n+2 {
+		sc.readMark = make([]bool, n+2)
+	}
+	sc.reads = listGridReads(sc.reads[:0], sc.readMark[:n+2], x, c, sc.iu, tmax, n)
+	sc.readsX, sc.readsU, sc.readsC, sc.readsN, sc.readsOK = x, u, c, n, true
+	return sc.reads
+}
+
+// sharedGrid fetches (building once across its users) the grid from a
+// shared cache. Returns nil on any cache error so the caller falls back
+// to a local build.
+func (pl *DPNextFailurePlanner) sharedGrid(shared SharedCache, groups []taugroup, tmax float64, gridN int) *survivalGrid {
 	key := gridCacheKey(pl.lawKey, groups, tmax, gridN)
-	v, err := pl.grids.Do(key, func() (any, int64, error) {
+	v, err := shared.Do(key, func() (any, int64, error) {
 		sg := &survivalGrid{g: make([]float64, gridN+2)}
-		fillSurvivalGrid(sg, pl.d, groups, tmax, gridN)
+		fillSurvivalGrid(sg, pl.d, groups, tmax, gridN, allGridIndices[:gridN+2])
 		return sg, int64((gridN + 2) * 8), nil
 	})
 	if err != nil {
@@ -479,9 +558,23 @@ func gridCacheKey(lawKey string, groups []taugroup, tmax float64, gridN int) str
 	return string(b)
 }
 
-// solveInto runs the DP solve against the current scratch grid, managing
-// the value/argmin slabs, and leaves the extracted plan in sc.plan.
-func (pl *DPNextFailurePlanner) solveInto(sc *replanScratch, x int, u, c float64) {
+// setIU sizes sc.iu for x quanta and fills iu[i] = i*u, the chunk
+// lengths the solve and listGridReads share.
+func (sc *replanScratch) setIU(x int, u float64) {
+	if cap(sc.iu) < x+1 {
+		sc.iu = make([]float64, x+1)
+	} else {
+		sc.iu = sc.iu[:x+1]
+	}
+	for i := range sc.iu {
+		sc.iu[i] = float64(i) * u
+	}
+}
+
+// solveInto runs the DP solve of x quanta (sc.iu, set by setIU) against
+// the current scratch grid, managing the value/argmin slabs, and leaves
+// the extracted plan in sc.plan.
+func (pl *DPNextFailurePlanner) solveInto(sc *replanScratch, x int, c float64) {
 	stride := x + 1
 	need := stride * stride
 	if cap(sc.val) < need || cap(sc.choice) < need {
@@ -499,14 +592,6 @@ func (pl *DPNextFailurePlanner) solveInto(sc *replanScratch, x int, u, c float64
 			}
 			sc.solvedX = x
 		}
-	}
-	if cap(sc.iu) < stride {
-		sc.iu = make([]float64, stride)
-	} else {
-		sc.iu = sc.iu[:stride]
-	}
-	for i := range sc.iu {
-		sc.iu[i] = float64(i) * u
 	}
 
 	solveNextFailureDPInto(x, c, sc.grid, sc.val, sc.choice, sc.iu)
@@ -648,24 +733,36 @@ type survivalGrid struct {
 // warm path uses fillSurvivalGrid into a scratch slab instead.
 func newSurvivalGrid(d dist.Distribution, groups []taugroup, tmax float64) *survivalGrid {
 	sg := &survivalGrid{g: make([]float64, gridPoints+2)}
-	fillSurvivalGrid(sg, d, groups, tmax, gridPoints)
+	fillSurvivalGrid(sg, d, groups, tmax, gridPoints, allGridIndices)
 	return sg
 }
 
-// fillSurvivalGrid populates sg (whose g must already have length n+2)
-// with the cumulative-hazard mixture of groups over [0, tmax]. The
-// per-family arms are operation-for-operation identical to the generic
-// loop — they exist only to devirtualize the CumHazard call on the two
-// closed-form laws that dominate planning workloads, which the reference
-// solver pays interface dispatch for. Resolution note (exact mode): 1024
-// points over the horizon is fine enough that linear interpolation of the
-// cumulative hazard is accurate for the smooth laws used here.
-func fillSurvivalGrid(sg *survivalGrid, d dist.Distribution, groups []taugroup, tmax float64, n int) {
+// allGridIndices lists every index of an exact-resolution grid; its
+// prefixes list those of the coarser ones. A complete fill walks one.
+var allGridIndices = func() []int32 {
+	idx := make([]int32, gridPoints+2)
+	for j := range idx {
+		idx[j] = int32(j)
+	}
+	return idx
+}()
+
+// fillSurvivalGrid sets sg's step for n intervals over [0, tmax] and
+// fills the entries idx of sg.g (whose length must already be n+2) with
+// the cumulative-hazard mixture of groups. Each entry is computed the
+// same way whichever other entries are filled. The per-family arms are
+// operation-for-operation identical to the generic loop — they exist
+// only to devirtualize the CumHazard call on the two closed-form laws
+// that dominate planning workloads, which the reference solver pays
+// interface dispatch for. Resolution note (exact mode): 1024 points over
+// the horizon is fine enough that linear interpolation of the cumulative
+// hazard is accurate for the smooth laws used here.
+func fillSurvivalGrid(sg *survivalGrid, d dist.Distribution, groups []taugroup, tmax float64, n int, idx []int32) {
 	sg.step = tmax / float64(n)
 	g := sg.g
 	switch law := d.(type) {
 	case dist.Exponential:
-		for j := range g {
+		for _, j := range idx {
 			t := float64(j) * sg.step
 			var acc float64
 			for _, gr := range groups {
@@ -674,7 +771,7 @@ func fillSurvivalGrid(sg *survivalGrid, d dist.Distribution, groups []taugroup, 
 			g[j] = acc
 		}
 	case dist.Weibull:
-		for j := range g {
+		for _, j := range idx {
 			t := float64(j) * sg.step
 			var acc float64
 			for _, gr := range groups {
@@ -683,7 +780,7 @@ func fillSurvivalGrid(sg *survivalGrid, d dist.Distribution, groups []taugroup, 
 			g[j] = acc
 		}
 	default:
-		for j := range g {
+		for _, j := range idx {
 			t := float64(j) * sg.step
 			var acc float64
 			for _, gr := range groups {
@@ -692,6 +789,49 @@ func fillSurvivalGrid(sg *survivalGrid, d dist.Distribution, groups []taugroup, 
 			g[j] = acc
 		}
 	}
+}
+
+// listGridReads appends to dst, in increasing order, the indices of the
+// grid entries solveNextFailureDPInto reads when it solves x quanta with
+// chunk lengths iu and checkpoint cost c on a grid of n intervals over
+// tmax, and returns it. It walks the solve's states and candidates with
+// the solve's own float expressions, and marks both entries at
+// interpolates for each elapsed time, or the clamped end entry. mark
+// (length n+2) is scratch.
+func listGridReads(dst []int32, mark []bool, x int, c float64, iu []float64, tmax float64, n int) []int32 {
+	clear(mark)
+	step := tmax / float64(n)
+	for rem := 1; rem <= x; rem++ {
+		for k := 0; k <= x-rem; k++ {
+			a := iu[x-rem] + float64(k)*c
+			markGridRead(mark, a, step)
+			for i := 1; i <= rem; i++ {
+				markGridRead(mark, a+iu[i]+c, step)
+			}
+		}
+	}
+	for j, m := range mark {
+		if m {
+			dst = append(dst, int32(j))
+		}
+	}
+	return dst
+}
+
+// markGridRead marks the entries survivalGrid.at reads for t on a grid
+// with the given step and len(mark) points, by at's own expressions.
+func markGridRead(mark []bool, t, step float64) {
+	if t <= 0 {
+		mark[0] = true
+		return
+	}
+	i := int(t / step)
+	if i >= len(mark)-1 {
+		mark[len(mark)-1] = true
+		return
+	}
+	mark[i] = true
+	mark[i+1] = true
 }
 
 // at linearly interpolates G(t).

@@ -12,6 +12,7 @@ package policy
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/dist"
@@ -377,5 +378,251 @@ func TestDPNextFailureCoarseReplanZeroAlloc(t *testing.T) {
 	cycle()
 	if allocs := testing.AllocsPerRun(150, cycle); allocs != 0 {
 		t.Fatalf("warm coarse replan allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// gridCache is a build-once SharedCache for the tests (the engine's
+// cache imports this package). builds counts the grids it built.
+type gridCache struct {
+	mu     sync.Mutex
+	m      map[string]any
+	builds int
+}
+
+func newGridCache() *gridCache { return &gridCache{m: map[string]any{}} }
+
+func (c *gridCache) Do(key string, build func() (any, int64, error)) (any, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.m[key]; ok {
+		return v, nil
+	}
+	v, _, err := build()
+	if err != nil {
+		return nil, err
+	}
+	c.m[key] = v
+	c.builds++
+	return v, nil
+}
+
+// TestDPNextFailureReplanMatchesReferenceSharedGrids runs the
+// differential evolution with grids shared through caches — the pristine
+// grid through a planner-wide one, other small-group grids through an
+// instance scope — on platforms whose states soon exceed
+// sharedGridMaxGroups, so re-plans switch between shared complete grids
+// and instance-owned grids filled only where the solve reads. Two
+// instances evolve different histories on the same caches; every plan
+// stays bit-identical to the reference.
+func TestDPNextFailureReplanMatchesReferenceSharedGrids(t *testing.T) {
+	const mean = 2e6
+	laws := diffLaws(mean)
+	configs := []struct {
+		name  string
+		units int
+		steps int
+		opts  []DPNextFailureOption
+	}{
+		{"manyExact", 24, 120, []DPNextFailureOption{WithQuanta(8)}},
+		{"collapse", 40, 120, []DPNextFailureOption{WithQuanta(12), WithStateApprox(3, 6)}},
+		{"fine", 12, 60, []DPNextFailureOption{WithQuanta(40)}},
+	}
+	for _, d := range []dist.Distribution{laws[1], laws[4]} { // Weibull, Empirical
+		for ci, cfg := range configs {
+			t.Run(d.Name()+"/"+cfg.name, func(t *testing.T) {
+				t.Parallel()
+				job := &sim.Job{Work: 1e12, C: 400, R: 400, D: 60, Units: cfg.units}
+				process, scope := newGridCache(), newGridCache()
+				opts := append([]DPNextFailureOption{WithSharedGrids(process, d.Name())}, cfg.opts...)
+				pl := NewDPNextFailurePlanner(d, mean, opts...)
+				for k := uint64(0); k < 2; k++ {
+					diffEvolve(t, d, pl.NewScopedPolicy(scope), job, uint64(100*ci+11)+k, cfg.steps)
+				}
+				if scope.builds == 0 {
+					t.Fatal("no grid was shared through the scope")
+				}
+			})
+		}
+	}
+}
+
+// partialGridState is a state of nine age groups (eight failed units and
+// the never-failed rest of twelve) with the given job and remaining work.
+func partialGridState(job *sim.Job, remaining float64) *sim.State {
+	renew := make([]float64, job.Units)
+	var failed []int32
+	for u := 0; u < 8; u++ {
+		renew[u] = 1e5 * float64(u+1)
+		failed = append(failed, int32(u))
+	}
+	return &sim.State{Job: job, Now: 1e6, Remaining: remaining,
+		LastRenewal: renew, FailedUnits: failed, Failures: 8}
+}
+
+// TestDPNextFailurePartialGridSignature pins the reuse check of a partly
+// filled grid: states with the same age groups, resolution and tmax bits
+// but a different (x, u, c) read different entries, so one instance
+// alternating between them must refill instead of reusing the grid.
+func TestDPNextFailurePartialGridSignature(t *testing.T) {
+	const mean = 2e6
+	law := dist.WeibullFromMeanShape(mean, 0.7)
+	replanAgainst := func(t *testing.T, p *DPNextFailure, job *sim.Job, s *sim.State, want []float64, what string) {
+		t.Helper()
+		if err := p.Start(job); err != nil {
+			t.Fatal(err)
+		}
+		diffComparePlans(t, 0, p.replan(s), want)
+		if t.Failed() {
+			t.Fatalf("%s: plan diverged", what)
+		}
+	}
+
+	// Remaining work below the horizon cap: u = remaining/x.
+	t.Run("twoU", func(t *testing.T) {
+		job := &sim.Job{Work: 1e12, C: 68, R: 68, D: 60, Units: 12}
+		const x = 7
+		tmaxOf := func(u float64) float64 { return float64(x)*(u+job.C) + u + job.C }
+		// u = 60 puts every elapsed time the solve evaluates on a grid
+		// point (u + c = 128 = tmax/8, step 1). An ulp less of u still
+		// rounds u + c to 128, so tmax keeps its bits, but it moves some
+		// of those times below their grid point.
+		rem1 := 420.0
+		u1 := rem1 / x
+		rem2 := 0.0
+		for r, k := rem1, 0; k < 64 && rem2 == 0; k++ {
+			r = math.Nextafter(r, 0)
+			u2 := r / x
+			if u2 != u1 && tmaxOf(u2) == tmaxOf(u1) && !equalReads(x, u1, job.C, tmaxOf(u1), x, u2, job.C, tmaxOf(u2)) {
+				rem2 = r
+			}
+		}
+		if rem2 == 0 {
+			t.Fatal("no remaining work within 64 ulps gives a second u with the same tmax and other reads")
+		}
+		p := NewDPNextFailure(law, mean, WithQuanta(x))
+		s1, s2 := partialGridState(job, rem1), partialGridState(job, rem2)
+		want1, want2 := p.planner.replanReference(s1), p.planner.replanReference(s2)
+		replanAgainst(t, p, job, s1, want1, "first u")
+		replanAgainst(t, p, job, s2, want2, "second u")
+		replanAgainst(t, p, job, s1, want1, "first u again")
+	})
+
+	// Two jobs whose u + c agree: same tmax, very different reads.
+	t.Run("checkpointCost", func(t *testing.T) {
+		jobA := &sim.Job{Work: 1e12, C: 28, R: 28, D: 60, Units: 12}
+		jobB := &sim.Job{Work: 1e12, C: 64, R: 64, D: 60, Units: 12}
+		p := NewDPNextFailure(law, mean, WithQuanta(7))
+		sA, sB := partialGridState(jobA, 700), partialGridState(jobB, 448) // u = 100 and 64
+		wantA, wantB := p.planner.replanReference(sA), p.planner.replanReference(sB)
+		replanAgainst(t, p, jobA, sA, wantA, "job A")
+		replanAgainst(t, p, jobB, sB, wantB, "job B")
+		replanAgainst(t, p, jobA, sA, wantA, "job A again")
+	})
+
+	// Exact x = 8 and coarse x = 4 over a target of c*8*4 share tmax
+	// bits (their grids differ in resolution). The exact state is checked
+	// against the reference, the coarse one against a complete-grid solve.
+	t.Run("exactCoarse", func(t *testing.T) {
+		job := &sim.Job{Work: 1e12, C: 28, R: 28, D: 60, Units: 12}
+		p := NewDPNextFailure(law, mean, WithQuanta(8), WithCoarseQuanta(4))
+		exact := partialGridState(job, 896)
+		exact.Failures = 0 // exact resolution; still not pristine
+		coarse := partialGridState(job, 896)
+		if a, b := 8*(896.0/8+28)+896.0/8+28, 4*(896.0/4+28)+896.0/4+28; a != b {
+			t.Fatalf("tmax %v vs %v", a, b)
+		}
+		wantExact := p.planner.replanReference(exact)
+		grid := &survivalGrid{g: make([]float64, coarseGridPoints+2)}
+		fillSurvivalGrid(grid, law, p.planner.buildGroups(coarse), 4*(896.0/4+28)+896.0/4+28,
+			coarseGridPoints, allGridIndices[:coarseGridPoints+2])
+		wantCoarse, _ := solveNextFailureDP(4, 896.0/4, 28, grid)
+		replanAgainst(t, p, job, exact, wantExact, "exact")
+		replanAgainst(t, p, job, coarse, wantCoarse, "coarse")
+		replanAgainst(t, p, job, exact, wantExact, "exact again")
+		replanAgainst(t, p, job, coarse, wantCoarse, "coarse again")
+	})
+}
+
+// equalReads reports whether two solve configurations read the same
+// grid entries (at exact resolution).
+func equalReads(x1 int, u1, c1, tmax1 float64, x2 int, u2, c2, tmax2 float64) bool {
+	list := func(x int, u, c, tmax float64) []int32 {
+		iu := make([]float64, x+1)
+		for i := range iu {
+			iu[i] = float64(i) * u
+		}
+		return listGridReads(nil, make([]bool, gridPoints+2), x, c, iu, tmax, gridPoints)
+	}
+	a, b := list(x1, u1, c1, tmax1), list(x2, u2, c2, tmax2)
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDPNextFailureGridReadsCoverSolve checks the read set itself: over
+// many random configurations, a grid whose entries outside
+// listGridReads are poisoned must give the solve the very same value and
+// argmin tables — every cell, not just the plan — as the complete grid.
+// A NaN poison turns a read of an unlisted entry into a NaN candidate or
+// start value, a -Inf poison into an unbeatable candidate.
+func TestDPNextFailureGridReadsCoverSolve(t *testing.T) {
+	r := rng.NewStream(2024, 1)
+	laws := diffLaws(2e6)
+	solve := func(x int, c float64, grid *survivalGrid, iu []float64) ([]float64, []int32) {
+		val := make([]float64, (x+1)*(x+1))
+		choice := make([]int32, (x+1)*(x+1))
+		solveNextFailureDPInto(x, c, grid, val, choice, iu)
+		return val, choice
+	}
+	for trial := 0; trial < 400; trial++ {
+		d := laws[trial%len(laws)]
+		x := 2 + r.IntN(59)
+		n := gridPoints
+		if r.IntN(4) == 0 {
+			n = coarseGridPoints
+		}
+		u := math.Exp(r.Float64() * 12)
+		c := 0.0
+		if r.IntN(8) != 0 {
+			c = math.Exp(r.Float64() * 9)
+		}
+		groups := make([]taugroup, 1+r.IntN(8))
+		for i := range groups {
+			groups[i] = taugroup{tau: r.Float64() * 4e6, weight: float64(1 + r.IntN(5))}
+		}
+		tmax := float64(x)*(u+c) + u + c
+		iu := make([]float64, x+1)
+		for i := range iu {
+			iu[i] = float64(i) * u
+		}
+		reads := listGridReads(nil, make([]bool, n+2), x, c, iu, tmax, n)
+		for i, j := range reads {
+			if j < 0 || int(j) > n+1 || (i > 0 && j <= reads[i-1]) {
+				t.Fatalf("trial %d: read list not increasing within the grid: %v", trial, reads)
+			}
+		}
+		full := &survivalGrid{g: make([]float64, n+2)}
+		fillSurvivalGrid(full, d, groups, tmax, n, allGridIndices[:n+2])
+		wantVal, wantChoice := solve(x, c, full, iu)
+		for _, poison := range []float64{math.NaN(), math.Inf(-1)} {
+			pg := &survivalGrid{g: make([]float64, n+2)}
+			for j := range pg.g {
+				pg.g[j] = poison
+			}
+			fillSurvivalGrid(pg, d, groups, tmax, n, reads)
+			gotVal, gotChoice := solve(x, c, pg, iu)
+			for k := range wantVal {
+				if math.Float64bits(gotVal[k]) != math.Float64bits(wantVal[k]) || gotChoice[k] != wantChoice[k] {
+					t.Fatalf("trial %d (%s, x=%d, n=%d, u=%v, c=%v, poison %v): cell %d = (%v, %d), complete grid (%v, %d)",
+						trial, d.Name(), x, n, u, c, poison, k, gotVal[k], gotChoice[k], wantVal[k], wantChoice[k])
+				}
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ package policy
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/dist"
@@ -110,5 +111,75 @@ func FuzzDPNextFailureReplan(f *testing.F) {
 				}
 			}
 		}
+		fuzzReplanManyUnits(t, words, remaining, now, quanta, coarse)
 	})
+}
+
+// fuzzReplanManyUnits is the fuzz target's many-unit state: sixteen
+// units whose histories come from rotations of the seed words, planned
+// with a small state approximation so a state often has more than
+// sharedGridMaxGroups age groups (an instance-owned grid filled only
+// where the solve reads) and sometimes collapses onto reference ages.
+// Two instances share grids through a scope, and the planner shares the
+// pristine grid; in exact mode every plan, the second instance's and a
+// repeat's included, must be the reference's bit for bit.
+func fuzzReplanManyUnits(t *testing.T, words [4]uint64, remaining, now float64, quanta int, coarse bool) {
+	const mean, units = 2e6, 16
+	job := &sim.Job{Work: remaining, C: 300, R: 300, D: 60, Units: units}
+	renew := make([]float64, units)
+	var failed []int32
+	for u := range renew {
+		w := bits.RotateLeft64(words[u%4], 13*u)
+		switch w % 3 {
+		case 0:
+			renew[u] = 0
+		case 1:
+			renew[u] = now * float64(w%1024) / 1024
+			failed = append(failed, int32(u))
+		default:
+			renew[u] = now + 60*float64(w%64)/64
+			failed = append(failed, int32(u))
+		}
+	}
+	s := &sim.State{Job: job, Now: now, Remaining: remaining,
+		LastRenewal: renew, FailedUnits: failed, Failures: len(failed)}
+	for _, d := range []dist.Distribution{dist.WeibullFromMeanShape(mean, 0.7), dist.NewExponentialMean(mean)} {
+		opts := []DPNextFailureOption{WithQuanta(quanta), WithStateApprox(3, 8), WithSharedGrids(newGridCache(), d.Name())}
+		exact := !coarse || quanta <= 2 || len(failed) == 0
+		if !exact {
+			opts = append(opts, WithCoarseQuanta(2+int(words[1]%uint64(quanta-1))))
+		}
+		pl := NewDPNextFailurePlanner(d, mean, opts...)
+		scope := newGridCache()
+		var want []float64
+		if exact {
+			want = pl.replanReference(s)
+		}
+		for k := 0; k < 2; k++ {
+			p := pl.NewScopedPolicy(scope)
+			if err := p.Start(job); err != nil {
+				t.Fatalf("%s: Start: %v", d.Name(), err)
+			}
+			for rep := 0; rep < 2; rep++ {
+				got := p.replan(s)
+				for i, ch := range got {
+					if math.IsNaN(ch) || ch < 0 || ch > remaining*(1+1e-9) {
+						t.Fatalf("%s, %d units: chunk %d out of range: %v (plan %v)", d.Name(), units, i, ch, got)
+					}
+				}
+				if !exact {
+					continue
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s, %d units: plan length %d vs reference %d\n got %v\nwant %v", d.Name(), units, len(got), len(want), got, want)
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s, %d units (instance %d, replan %d): chunk %d = %x vs reference %x\n got %v\nwant %v",
+							d.Name(), units, k, rep, i, math.Float64bits(got[i]), math.Float64bits(want[i]), got, want)
+					}
+				}
+			}
+		}
+	}
 }

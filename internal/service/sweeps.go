@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/spec"
 	"repro/internal/store"
 )
@@ -193,7 +194,9 @@ func (s *Server) runSweepJob(j *sweepJob) {
 	j.wakeLocked()
 }
 
-// runSweepCells computes the job's missing suffix. Over a lease-capable
+// runSweepCells computes the job's missing suffix in one engine scope,
+// so its cells share trace sets and post-failure grids across claimed
+// ranges and drop them when the job run ends. Over a lease-capable
 // store the work is claimed cell-range-by-cell-range: acquire the job's
 // claim, compute up to sweepClaimCells cells — each written through
 // PutLeased under the claim's fencing token, with a renewal every
@@ -207,12 +210,13 @@ func (s *Server) runSweepCells(j *sweepJob) error {
 		return err
 	}
 	defer s.adm.release()
+	eng := s.eng.Scope()
 	ls, leased := s.st.(store.LeaseStore)
 	if !leased {
 		// A store without a lease face is a declared single-writer
 		// deployment: run the whole suffix unguarded.
 		completed, _, _ := j.snapshot()
-		return s.computeCells(j, completed, len(j.cells), nil, store.Lease{})
+		return s.computeCells(eng, j, completed, len(j.cells), nil, store.Lease{})
 	}
 	key := sweepLeasePrefix + j.id
 	for {
@@ -241,7 +245,7 @@ func (s *Server) runSweepCells(j *sweepJob) error {
 		}
 		completed, _, _ = j.snapshot()
 		end := min(completed+s.sweepClaimCells, len(j.cells))
-		err = s.computeCells(j, completed, end, ls, lease)
+		err = s.computeCells(eng, j, completed, end, ls, lease)
 		_ = ls.ReleaseLease(s.jobsCtx, lease)
 		if errors.Is(err, store.ErrLeaseStale) {
 			// Fenced off: a reclaiming replica owns the job now. Nothing
@@ -254,13 +258,13 @@ func (s *Server) runSweepCells(j *sweepJob) error {
 	}
 }
 
-// computeCells runs cells [from, end) in expansion order, persisting
-// each durably before advancing the watermark. With a lease (ls
+// computeCells runs cells [from, end) on eng in expansion order,
+// persisting each durably before advancing the watermark. With a lease (ls
 // non-nil) every write is fenced by the claim's token and the claim is
 // renewed every sweepRenewEvery cells, so a replica that keeps making
 // progress keeps its claim without paying a journal append per cell.
-func (s *Server) computeCells(j *sweepJob, from, end int, ls store.LeaseStore, lease store.Lease) error {
-	for res, err := range spec.RunCells(s.jobsCtx, s.eng, j.cells[from:end]) {
+func (s *Server) computeCells(eng *engine.Engine, j *sweepJob, from, end int, ls store.LeaseStore, lease store.Lease) error {
+	for res, err := range spec.RunCells(s.jobsCtx, eng, j.cells[from:end]) {
 		if err != nil {
 			return err
 		}

@@ -208,7 +208,7 @@ func init() {
 			// The engine cache keys planners by (law, mean, quanta) only;
 			// custom state-approximation or coarse-mode planners build
 			// uncached — but still share survival grids through the
-			// engine cache.
+			// engine's caches.
 			opts := []policy.DPNextFailureOption{
 				policy.WithQuanta(quanta), policy.WithStateApprox(nExact, nApprox),
 			}
@@ -221,7 +221,7 @@ func init() {
 			planner = env.Engine.DPNextFailurePlanner(ctx, env.Scenario.Dist, d.UnitMean, quanta)
 		}
 		return harness.Candidate{Name: ps.name("DPNextFailure"), New: func() (sim.Policy, error) {
-			return planner.NewPolicy(), nil
+			return env.Engine.DPNextFailure(planner), nil
 		}}, nil
 	})
 	// "lowerbound" names the omniscient §4.1 bound so chkpt-sim specs can

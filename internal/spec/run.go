@@ -35,9 +35,10 @@ var errStopIteration = errors.New("spec: iteration stopped")
 // fills the result's Periods map. It is the per-cell core of Run,
 // exported so callers that already hold an expanded cell (the serving
 // layer validates and hashes the experiment before executing) do not pay
-// a second expansion.
+// a second expansion. The cell runs in eng's scope, or in a scope of its
+// own when eng is not one (see engine.Engine.Scope).
 func RunCell(ctx context.Context, eng *engine.Engine, cell Cell) (CellResult, error) {
-	res, cands, err := runCell(ctx, eng, cell)
+	res, cands, err := runCell(ctx, eng.Scope(), cell)
 	if err != nil {
 		return res, err
 	}
@@ -118,9 +119,12 @@ func Run(ctx context.Context, eng *engine.Engine, es *ExperimentSpec) iter.Seq2[
 
 // RunCells is Run over an already-expanded cell list: callers that
 // expanded for validation (the serving layer) stream execution without a
-// second expansion. The iteration contract is Run's.
+// second expansion. The iteration contract is Run's. The cells run in
+// eng's scope, or in one scope of their own when eng is not one, so they
+// share trace sets and post-failure grids that no later run could use.
 func RunCells(ctx context.Context, eng *engine.Engine, cells []Cell) iter.Seq2[CellResult, error] {
 	return func(yield func(CellResult, error) bool) {
+		eng := eng.Scope()
 		// A consumer breaking out of the range must actually stop the
 		// sweep: cancel the engine workers, not just the emission.
 		ctx, stop := context.WithCancel(ctx)
