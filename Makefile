@@ -37,35 +37,40 @@ race:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# Machine-readable benchmark baseline for this PR: one real benchmark
-# pass piped through chkpt-benchjson into BENCH_$(PR).json. Bump PR=
-# per stacked PR; the prose interpretation stays in BENCH.md.
+# Machine-readable benchmark baseline for this PR: three real benchmark
+# passes piped through chkpt-benchjson into BENCH_$(PR).json, which
+# keeps the median of each benchmark's three runs. Bump PR= per stacked
+# PR; the prose interpretation stays in BENCH.md.
 #
-# The advisor package runs at a fixed multi-iteration count instead of
-# -benchtime 1x: its session benches have stateful burn-in (the
+# The advisor package's session benches run at a fixed multi-iteration
+# count instead of -benchtime 1x: they have stateful burn-in (the
 # DPNextFailure warm-start memo needs the failure pattern to become
 # stationary), so a 1x run would record only the cold first iteration.
-# Everything else stays at 1x to keep the pass fast; both streams feed
-# one chkpt-benchjson invocation (the parser handles concatenation).
-PR ?= 17
+# Everything else, the advisor's millisecond-scale replay rung included,
+# stays at 1x to keep the pass fast; all streams feed one
+# chkpt-benchjson invocation (the parser handles concatenation).
+PR ?= 18
 ADVISOR_BENCHTIME ?= 20000x
 
 bench-json:
-	{ $(GO) test -run xxx -bench . -benchtime 1x -benchmem $$($(GO) list ./... | grep -v internal/advisor); \
-	  $(GO) test -run xxx -bench . -benchtime $(ADVISOR_BENCHTIME) -benchmem ./internal/advisor; } \
+	{ $(GO) test -run xxx -bench . -benchtime 1x -count 3 -benchmem $$($(GO) list ./... | grep -v internal/advisor); \
+	  $(GO) test -run xxx -bench BenchmarkSession -benchtime $(ADVISOR_BENCHTIME) -count 3 -benchmem ./internal/advisor; \
+	  $(GO) test -run xxx -bench BenchmarkReplay -benchtime 1x -count 3 -benchmem ./internal/advisor; } \
 	  | $(GO) run ./cmd/chkpt-benchjson -pr $(PR) > BENCH_$(PR).json
 	@echo "wrote BENCH_$(PR).json"
 
 # Bench-regression gate: rerun the suite with the bench-json recipe and
-# diff against the committed baseline. The generous threshold absorbs
-# shared-runner noise; the alloc gate is exact for zero-alloc pins. CI's
-# bench-smoke job runs this target, so PR above is the one setting that
-# names the gate's baseline.
+# diff against the committed baseline. Both sides are medians of three
+# runs, so one noisy single-iteration run cannot fail the gate; the
+# generous threshold absorbs the rest of shared-runner noise, and the
+# alloc gate is exact for zero-alloc pins. CI's bench-smoke job runs this
+# target, so PR above is the one setting that names the gate's baseline.
 BENCH_BASELINE ?= BENCH_$(PR).json
 
 bench-compare:
-	{ $(GO) test -run xxx -bench . -benchtime 1x -benchmem $$($(GO) list ./... | grep -v internal/advisor); \
-	  $(GO) test -run xxx -bench . -benchtime $(ADVISOR_BENCHTIME) -benchmem ./internal/advisor; } \
+	{ $(GO) test -run xxx -bench . -benchtime 1x -count 3 -benchmem $$($(GO) list ./... | grep -v internal/advisor); \
+	  $(GO) test -run xxx -bench BenchmarkSession -benchtime $(ADVISOR_BENCHTIME) -count 3 -benchmem ./internal/advisor; \
+	  $(GO) test -run xxx -bench BenchmarkReplay -benchtime 1x -count 3 -benchmem ./internal/advisor; } \
 	  | $(GO) run ./cmd/chkpt-benchjson -pr $(PR) > /tmp/bench-current.json
 	$(GO) run ./cmd/chkpt-benchjson compare -threshold 5 -allocs-threshold 1.5 -min-ns 1000 $(BENCH_BASELINE) /tmp/bench-current.json
 
@@ -123,10 +128,14 @@ serve-smoke:
 # endpoints.
 #
 # Phase two is the durability smoke: reboot with -data-dir, open a
-# session and run a sweep job to completion, SIGKILL the server (no
-# drain courtesy), restart over the same directory, and require the
-# session to answer its pre-crash decision, the recovery counter to read
-# 1, and the re-submitted sweep job to re-run zero cells.
+# DPNextFailure session and a Young one and run a sweep job to
+# completion, SIGKILL the server (no drain courtesy), restart over the
+# same directory, and require the DPNextFailure session to answer its
+# pre-crash decision, the Young session (whose log holds no "advised"
+# record, and whose decision predates its last heartbeat) to answer its
+# pre-crash body byte for byte bar the expiry, the
+# recovery counter to read 2, and the re-submitted sweep job to re-run
+# zero cells.
 session-smoke:
 	@set -e; \
 	if [ "$(CHKPT_SERVE)" = "/tmp/chkpt-serve-smoke" ]; then $(GO) build -o $(CHKPT_SERVE) ./cmd/chkpt-serve; fi; \
@@ -161,6 +170,13 @@ session-smoke:
 	dec=$$(curl -sf -X POST --data-binary '{"events":[{"kind":"failure","time":1000,"unit":0},{"kind":"recovered","time":1660}]}' http://$(SERVE_ADDR)/v1/sessions/$$id/events); \
 	chunk=$$(echo "$$dec" | grep -o '"chunk": [0-9.e+-]*' | head -n 1); \
 	test -n "$$chunk"; echo "pre-crash decision: $$chunk"; \
+	ycreate=$$(curl -sf -X POST --data-binary '{"name":"durable-young","scenario":{"platform":{"preset":"oneproc","mtbf":86400},"p":1,"dist":{"family":"exponential"}},"policy":{"kind":"young"}}' http://$(SERVE_ADDR)/v1/sessions); \
+	yid=$$(echo "$$ycreate" | sed -n 's/.*"id": *"\([a-f0-9]*\)".*/\1/p' | head -n 1); \
+	test -n "$$yid"; echo "durable young session id: $$yid"; \
+	curl -sf -X POST --data-binary '{"events":[{"kind":"failure","time":1000,"unit":0},{"kind":"recovered","time":1660}]}' http://$(SERVE_ADDR)/v1/sessions/$$yid/events | grep -q '"chunk"'; \
+	curl -sf -X POST --data-binary '{"events":[{"kind":"progress","time":1700,"work":40}]}' http://$(SERVE_ADDR)/v1/sessions/$$yid/events | grep -q '"now": 1660'; \
+	yget=$$(curl -sf http://$(SERVE_ADDR)/v1/sessions/$$yid | grep -v '"expiresAt"'); \
+	echo "$$yget" | grep -q '"chunk"'; \
 	job=$$(curl -sf -X POST --data-binary '{"name":"durable-sweep","scenario":{"name":"cell","platform":{"preset":"oneproc","mtbf":86400},"p":1,"dist":{"family":"exponential"},"horizon":63072000,"traces":2,"seed":7},"grid":{"mtbf":[43200,86400]},"candidates":{"policies":[{"kind":"young"}]}}' http://$(SERVE_ADDR)/v1/sweeps); \
 	jobid=$$(echo "$$job" | sed -n 's/.*"id": *"\([a-f0-9]*\)".*/\1/p' | head -n 1); \
 	test -n "$$jobid"; echo "sweep job id: $$jobid"; \
@@ -178,7 +194,9 @@ session-smoke:
 	get=$$(curl -sf http://$(SERVE_ADDR)/v1/sessions/$$id); \
 	echo "$$get" | grep -qF "$$chunk"; \
 	echo "$$get" | grep -q '"failures": 1'; \
-	curl -sf http://$(SERVE_ADDR)/metrics | grep -q '^chkpt_sessions_recovered_total 1'; \
+	ygot=$$(curl -sf http://$(SERVE_ADDR)/v1/sessions/$$yid | grep -v '"expiresAt"'); \
+	test "$$yget" = "$$ygot"; echo "young session answered its pre-crash body"; \
+	curl -sf http://$(SERVE_ADDR)/metrics | grep -q '^chkpt_sessions_recovered_total 2'; \
 	resub=$$(curl -sf -X POST --data-binary '{"name":"durable-sweep","scenario":{"name":"cell","platform":{"preset":"oneproc","mtbf":86400},"p":1,"dist":{"family":"exponential"},"horizon":63072000,"traces":2,"seed":7},"grid":{"mtbf":[43200,86400]},"candidates":{"policies":[{"kind":"young"}]}}' http://$(SERVE_ADDR)/v1/sweeps); \
 	echo "$$resub" | grep -q '"resumed": true'; \
 	echo "$$resub" | grep -q '"completed": 2'; \
@@ -274,6 +292,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeExperiment -fuzztime 10s ./internal/spec
 	$(GO) test -run xxx -fuzz FuzzDecodeSession -fuzztime 10s ./internal/spec
 	$(GO) test -run xxx -fuzz FuzzSessionEvents -fuzztime 10s ./internal/advisor
+	$(GO) test -run xxx -fuzz FuzzReplayMarkers -fuzztime 10s ./internal/advisor
 	$(GO) test -run xxx -fuzz FuzzDPNextFailureReplan -fuzztime 10s ./internal/policy
 	$(GO) test -run xxx -fuzz FuzzStoreDecode -fuzztime 10s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzSessionRecord -fuzztime 10s ./internal/store

@@ -9,7 +9,9 @@
 // count, and the ns/op, B/op, and allocs/op measurements — exactly
 // what a regression tracker needs to diff two PRs without re-parsing
 // free-form text. Records keep the input order, so consecutive runs of
-// the same suite diff cleanly.
+// the same suite diff cleanly. A benchmark run several times (-count n)
+// becomes one record holding the median of each measurement, so one
+// noisy run cannot move a baseline or fail the gate.
 //
 // The compare subcommand diffs two such documents and exits non-zero on
 // a regression, turning the committed baseline into a CI gate:
@@ -27,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -111,7 +114,49 @@ func parseBench(r io.Reader) (*Report, error) {
 	if len(report.Benchmarks) == 0 {
 		return nil, errors.New("no benchmark result lines found on stdin")
 	}
+	report.Benchmarks = mergeRepeats(report.Benchmarks)
 	return report, nil
+}
+
+// mergeRepeats folds the lines of each benchmark run several times into
+// one record, in first-appearance order. Each measurement is the median
+// of its runs (the lower middle one for an even count), taken
+// separately: the ns/op and the allocs/op of one outlier run are both
+// dropped.
+func mergeRepeats(bs []Benchmark) []Benchmark {
+	groups := map[string][]Benchmark{}
+	var order []string
+	for _, b := range bs {
+		key := benchKey(b)
+		if _, ok := groups[key]; !ok {
+			order = append(order, key)
+		}
+		groups[key] = append(groups[key], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, key := range order {
+		g := groups[key]
+		out = append(out, Benchmark{
+			Pkg:         g[0].Pkg,
+			Name:        g[0].Name,
+			Runs:        median(g, func(b Benchmark) int64 { return b.Runs }),
+			NsPerOp:     median(g, func(b Benchmark) float64 { return b.NsPerOp }),
+			BytesPerOp:  median(g, func(b Benchmark) int64 { return b.BytesPerOp }),
+			AllocsPerOp: median(g, func(b Benchmark) int64 { return b.AllocsPerOp }),
+		})
+	}
+	return out
+}
+
+// median returns the median of one measurement over a benchmark's runs,
+// the lower middle value for an even count.
+func median[T int64 | float64](g []Benchmark, field func(Benchmark) T) T {
+	vals := make([]T, len(g))
+	for i, b := range g {
+		vals[i] = field(b)
+	}
+	slices.Sort(vals)
+	return vals[(len(vals)-1)/2]
 }
 
 // parseBenchLine parses one result line of the form

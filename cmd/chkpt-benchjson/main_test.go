@@ -68,3 +68,37 @@ func TestParseBenchEmptyIsError(t *testing.T) {
 		t.Fatal("stream without benchmark lines should be an error, got nil")
 	}
 }
+
+// TestParseBenchMergesRepeatsIntoMedians: -count 3 prints each
+// benchmark three times. One record per benchmark comes out, in
+// first-appearance order, and each measurement is its median, so the
+// outlier run (slow and allocating more) moves neither.
+func TestParseBenchMergesRepeatsIntoMedians(t *testing.T) {
+	const repeated = `pkg: repro/internal/engine
+BenchmarkTraceCache-2   1   2100 ns/op   640 B/op   9 allocs/op
+BenchmarkOther-2        1   5000 ns/op
+BenchmarkTraceCache-2   1   11400 ns/op  960 B/op   14 allocs/op
+BenchmarkOther-2        1   5200 ns/op
+BenchmarkTraceCache-2   1   2000 ns/op   640 B/op   9 allocs/op
+BenchmarkOther-2        1   4900 ns/op
+pkg: repro/internal/specialfn
+BenchmarkTraceCache-2   1   100 ns/op
+`
+	rep, err := parseBench(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatalf("parseBench: %v", err)
+	}
+	want := []Benchmark{
+		{Pkg: "repro/internal/engine", Name: "BenchmarkTraceCache-2", Runs: 1, NsPerOp: 2100, BytesPerOp: 640, AllocsPerOp: 9},
+		{Pkg: "repro/internal/engine", Name: "BenchmarkOther-2", Runs: 1, NsPerOp: 5000},
+		{Pkg: "repro/internal/specialfn", Name: "BenchmarkTraceCache-2", Runs: 1, NsPerOp: 100},
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("benchmarks = %+v, want %+v", rep.Benchmarks, want)
+	}
+	for i := range want {
+		if rep.Benchmarks[i] != want[i] {
+			t.Errorf("record %d = %+v, want %+v", i, rep.Benchmarks[i], want[i])
+		}
+	}
+}

@@ -8,11 +8,15 @@ package advisor_test
 // (decisions/sec is 1/ns-per-op; see BENCH.md).
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/advisor"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/policy"
+	"repro/internal/spec"
+	"repro/internal/store/storetest"
 )
 
 // benchJob is a petascale-ish geometry with effectively unbounded work,
@@ -194,6 +198,36 @@ func BenchmarkSessionDPNextFailureCommit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step(b, sess)
+	}
+}
+
+// BenchmarkReplaySessionHistory is the in-process half of a restore:
+// Advisor.ReplaySession over storetest.History, the 282-record history
+// of a recover-cluster session. Under dpnextfailure the replay consults
+// the policy at the markers after the last recovered event; under young
+// it consults no marker and advises once at the end. One untimed replay
+// first warms the shared planner, as a replica's first restore does.
+func BenchmarkReplaySessionHistory(b *testing.B) {
+	ss, steps := storetest.History()
+	for _, ps := range []spec.PolicySpec{ss.Policy, {Kind: "young"}} {
+		b.Run(ps.Kind, func(b *testing.B) {
+			s := *ss
+			s.Policy = ps
+			adv, err := spec.CompileAdvisor(context.Background(), engine.New(engine.Config{Cache: engine.NewCache(0)}), &s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := adv.ReplaySession(nil, steps); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if _, err := adv.ReplaySession(nil, steps); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

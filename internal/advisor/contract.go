@@ -94,6 +94,32 @@ type CommitObserver interface {
 	OnChunkCommitted(s *State, chunk float64)
 }
 
+// ChunkState declares how long what a policy's NextChunk advances can
+// shape its later decisions. A restore uses it to consult the policy at
+// only those recorded decision points that still matter, and the
+// service to journal decision points only for policies that need them.
+type ChunkState int
+
+const (
+	// ChunkStateKept is the declaration of a policy that makes none:
+	// NextChunk may advance state that every later decision depends on,
+	// so every decision point is journaled and replayed.
+	ChunkStateKept ChunkState = iota
+	// ChunkStateNone declares that NextChunk keeps no state: a decision
+	// depends only on the events applied so far.
+	ChunkStateNone
+	// ChunkStateUntilFailure declares that what NextChunk advances is
+	// lost at the next failure, so only the decision points after the
+	// last recovered event shape later decisions.
+	ChunkStateUntilFailure
+)
+
+// ChunkStateDeclarer is implemented by policies that declare their
+// ChunkState.
+type ChunkStateDeclarer interface {
+	ChunkState() ChunkState
+}
+
 // sanitizeChunk clamps a policy decision into (0, remaining]. A NaN chunk
 // is a policy bug, not a recoverable condition, and panics (the simulator
 // has always treated it that way).

@@ -42,4 +42,20 @@
 // An Advisor is the compiled, reusable form: job geometry plus a policy
 // factory, sharing planners across the sessions it mints. The HTTP
 // service (internal/service) exposes advisors as /v1/sessions.
+//
+// Advisor.ReplaySession restores a session from its journal: the
+// applied events plus "advised" markers at the decision points where
+// the policy was consulted. A policy may declare a ChunkState, and the
+// replay then consults it only where a consult can still shape later
+// decisions. DPNextFailure and Liu declare ChunkStateUntilFailure: a
+// failure discards what NextChunk advanced (Algorithm 2 re-plans at
+// every failure), so a restore re-plans only since the last recovery
+// instead of re-solving every DP the session ever solved. The periodic
+// heuristics and DPMakespan declare ChunkStateNone: a restore consults
+// them once, right after the last commit or recovery or at the one
+// marker that says a progress event came first, and the service
+// journals no other marker for them. A policy that declares nothing is
+// consulted at every marker. The equivalence suite and
+// FuzzReplayMarkers hold ReplaySession to what consulting every marker
+// rebuilds.
 package advisor

@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/engine"
+	"repro/internal/policy"
 	"repro/internal/spec"
+	"repro/internal/store/storetest"
 )
 
 // sessionAdvisor compiles a oneproc advisor for the given policy spec.
@@ -110,5 +112,99 @@ func TestReplaySessionReportsBadStep(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "replay step 1") {
 		t.Fatalf("want step-indexed error, got %v", err)
+	}
+}
+
+// TestReplaySessionConsultsOnlyRelevantMarkers pins which markers of
+// storetest.History a restore consults: all 41 for a policy that
+// declares nothing, the 5 after the last recovered event for
+// ChunkStateUntilFailure, and for ChunkStateNone only the one after the
+// last commit. This is the work a DPNextFailure restore saves.
+func TestReplaySessionConsultsOnlyRelevantMarkers(t *testing.T) {
+	_, steps := storetest.History()
+	markers, after := 0, 0
+	for _, st := range steps {
+		switch {
+		case st.Advised:
+			markers++
+			after++
+		case st.Event.Kind == advisor.EventRecovered:
+			after = 0
+		}
+	}
+	job := &advisor.Job{Work: 1e12, C: 600, R: 600, D: 60, Units: 4096, Start: 365 * 86400}
+	for _, tc := range []struct {
+		state advisor.ChunkState
+		want  int
+	}{
+		{advisor.ChunkStateKept, markers},
+		{advisor.ChunkStateUntilFailure, after},
+		{advisor.ChunkStateNone, 1},
+	} {
+		var pol *counterChunk
+		adv, err := advisor.NewAdvisor(job, "counter", func() (advisor.Policy, error) {
+			pol = &counterChunk{state: tc.state}
+			return pol, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := adv.ReplaySession(nil, steps); err != nil {
+			t.Fatal(err)
+		}
+		if pol.n != tc.want {
+			t.Errorf("declaration %d: %d consults, want %d (of %d markers)", tc.state, pol.n, tc.want, markers)
+		}
+	}
+	if after >= markers {
+		t.Fatalf("the history has %d markers after its last recovery of %d: nothing to skip", after, markers)
+	}
+}
+
+// TestReplaySessionZeroesLeftoverWork: a periodic session whose last
+// commit leaves floating-point residue (at most 1e-9·Work) as Remaining
+// served Remaining 0 and a Done decision, because Advise zeroes the
+// residue. Its journal holds no marker, and the service snapshots a
+// restored session's state before it advises, so the restore itself
+// must leave Remaining at exactly 0.
+func TestReplaySessionZeroesLeftoverWork(t *testing.T) {
+	job := &advisor.Job{Work: 1000, C: 10, R: 10, D: 1, Units: 1}
+	adv, err := advisor.NewAdvisor(job, "Periodic", func() (advisor.Policy, error) {
+		return policy.NewPeriodic("Periodic", 400), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := adv.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journal []advisor.ReplayStep
+	var d advisor.Decision
+	for _, work := range []float64{400, 400, 200 - 1e-7} {
+		if d, err = live.Advise(); err != nil {
+			t.Fatal(err)
+		}
+		ev := advisor.Event{Kind: advisor.EventCheckpointed, Time: d.Now + work + job.C, Work: work}
+		if err := live.Observe(ev); err != nil {
+			t.Fatal(err)
+		}
+		journal = append(journal, advisor.ReplayStep{Event: ev})
+	}
+	if live.Remaining() == 0 || !live.Done() {
+		t.Fatalf("the commits leave remaining %v (done %v), want residue", live.Remaining(), live.Done())
+	}
+	if d, err = live.Advise(); err != nil || !d.Done {
+		t.Fatalf("final decision %+v (err %v), want done", d, err)
+	}
+	restored, err := adv.ReplaySession(nil, journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Remaining() != 0 || live.Remaining() != 0 || !restored.HasDecision() {
+		t.Fatalf("restored remaining %v (decision cached %v), live %v; want 0 on both", restored.Remaining(), restored.HasDecision(), live.Remaining())
+	}
+	if got, _ := restored.Advise(); got != d {
+		t.Fatalf("restored decision %+v, want %+v", got, d)
 	}
 }

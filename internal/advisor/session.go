@@ -157,6 +157,13 @@ type Session struct {
 	co   CommitObserver
 	tapD func(Decision)
 	tapE func(Event)
+	// chunkState is the policy's declaration (ChunkStateKept when it
+	// makes none); it decides which decision points a replay consults.
+	chunkState ChunkState
+	// progressed records a progress event since the last commit or
+	// recovery: a consult after it is not where a replay of a
+	// ChunkStateNone policy would place it unmarked.
+	progressed bool
 
 	state State
 	// workEps is the completion threshold: remaining work below it is
@@ -199,6 +206,9 @@ func NewSession(cfg Config) (*Session, error) {
 	}
 	s.fo, _ = cfg.Policy.(FailureObserver)
 	s.co, _ = cfg.Policy.(CommitObserver)
+	if d, ok := cfg.Policy.(ChunkStateDeclarer); ok {
+		s.chunkState = d.ChunkState()
+	}
 	if err := s.pol.Start(&s.job); err != nil {
 		return nil, &StartError{Policy: s.pol.Name(), Err: err}
 	}
@@ -319,6 +329,7 @@ func (s *Session) Observe(ev Event) error {
 		}
 		s.attempted += ev.Work
 		s.state.Now = ev.Time
+		s.progressed = true
 
 	case EventCheckpointed:
 		if s.inOutage {
@@ -335,6 +346,7 @@ func (s *Session) Observe(ev Event) error {
 		s.state.Now = ev.Time
 		s.attempted = 0
 		s.hasDecision = false
+		s.progressed = false
 		if s.co != nil {
 			s.co.OnChunkCommitted(&s.state, ev.Work)
 		}
@@ -356,6 +368,7 @@ func (s *Session) Observe(ev Event) error {
 		}
 		s.state.Now = ev.Time
 		s.inOutage = false
+		s.progressed = false
 		if s.fo != nil {
 			s.fo.OnFailure(&s.state)
 		}

@@ -401,6 +401,12 @@ func (p *DPMakespan) OnChunkCommitted(s *sim.State, chunk float64) {
 	p.y += int(math.Round(chunk/p.t.u)) + p.t.cq
 }
 
+// ChunkState implements advisor.ChunkStateDeclarer: the table walk
+// advances on commits and failures only. NextChunk's own reset repeats
+// what OnFailure already did, because a session consults the policy only
+// after the recovery that called OnFailure.
+func (p *DPMakespan) ChunkState() sim.ChunkState { return sim.ChunkStateNone }
+
 // ExpectedMakespan returns the table's expected makespan from the
 // initial state — the Algorithm 1 objective value the policy's schedule
 // optimizes. The advisor layer attaches it to decisions as rationale.

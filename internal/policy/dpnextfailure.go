@@ -260,6 +260,12 @@ func (p *DPNextFailure) OnFailure(s *sim.State) {
 	p.failures = s.Failures
 }
 
+// ChunkState implements advisor.ChunkStateDeclarer: NextChunk advances
+// the plan cursor, and OnFailure discards the plan. The re-planning
+// scratch only memoizes solves, so skipping earlier consults changes no
+// decision.
+func (p *DPNextFailure) ChunkState() sim.ChunkState { return sim.ChunkStateUntilFailure }
+
 // NextChunk implements sim.Policy.
 func (p *DPNextFailure) NextChunk(s *sim.State) float64 {
 	if s.Failures != p.failures {

@@ -176,6 +176,11 @@ func (l *Liu) NextChunk(s *sim.State) float64 {
 	return math.Min(chunk, s.Remaining)
 }
 
+// ChunkState implements advisor.ChunkStateDeclarer: NextChunk advances
+// the date cursor, and its first call after a failure resets the cursor
+// and the position.
+func (l *Liu) ChunkState() sim.ChunkState { return sim.ChunkStateUntilFailure }
+
 // OnChunkCommitted advances the schedule position.
 func (l *Liu) OnChunkCommitted(s *sim.State, chunk float64) {
 	l.pos += chunk + l.c

@@ -39,6 +39,10 @@ func (p *Periodic) NextChunk(s *sim.State) float64 {
 	return math.Min(p.period, s.Remaining)
 }
 
+// ChunkState implements advisor.ChunkStateDeclarer: the period is fixed,
+// so NextChunk keeps no state.
+func (p *Periodic) ChunkState() sim.ChunkState { return sim.ChunkStateNone }
+
 // NewYoung returns Young's first-order periodic policy [26]:
 // period sqrt(2 * C(p) * MTBF/p), with platformMTBF = MTBF/p.
 func NewYoung(c, platformMTBF float64) *Periodic {

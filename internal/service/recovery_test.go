@@ -151,6 +151,75 @@ func TestSessionCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestStatelessSessionCrashRecovery: a Young session journals an
+// "advised" record only for a consult that follows progress after the
+// last commit, and a restarted server still answers its GET exactly as
+// before the crash (bar the expiry), whether progress heartbeats came
+// after the standing decision (no record at all) or before it (one).
+func TestStatelessSessionCrashRecovery(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	fst := openRecoveryStore(t, dir)
+	_, ts := newTestServer(t, Config{Store: fst})
+	sr := createSession(t, ts.URL, sessionSpecJSON(`{"kind": "young"}`))
+	d0 := *sr.Decision
+	commit := d0.Now + d0.Chunk + d0.CheckpointCost
+	batches := [][]advisor.Event{
+		{
+			{Kind: advisor.EventProgress, Time: d0.Now + d0.Chunk/2, Work: d0.Chunk / 2},
+			{Kind: advisor.EventCheckpointed, Time: commit, Work: d0.Chunk},
+		},
+		// Heartbeats after the decision: it stands, with its Now.
+		{
+			{Kind: advisor.EventProgress, Time: commit + 10, Work: 5},
+			{Kind: advisor.EventProgress, Time: commit + 20, Work: 5},
+		},
+		// Progress before the consult: the consult gets a record.
+		{
+			{Kind: advisor.EventCheckpointed, Time: commit + d0.Chunk + d0.CheckpointCost, Work: d0.Chunk},
+			{Kind: advisor.EventProgress, Time: commit + d0.Chunk + d0.CheckpointCost + 30, Work: 7},
+		},
+	}
+	for i, batch := range batches {
+		if resp, er := postEvents(t, ts.URL, sr.ID, batch); resp.StatusCode != http.StatusOK || er.Decision == nil {
+			t.Fatalf("batch %d: status %d, %+v", i, resp.StatusCode, er)
+		}
+		if i == 0 {
+			continue
+		}
+		_, want := getSessionResponse(t, ts.URL, sr.ID)
+		// Crash and restart over the same directory.
+		ts.Close()
+		if err := fst.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fst = openRecoveryStore(t, dir)
+		rep, err := fst.Replay(ctx, sr.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		markers := 0
+		for _, st := range rep.Steps {
+			if st.Advised {
+				markers++
+			}
+		}
+		if wantMarkers := i - 1; markers != wantMarkers {
+			t.Fatalf("after batch %d the journal holds %d advised records, want %d", i, markers, wantMarkers)
+		}
+		_, ts = newTestServer(t, Config{Store: fst})
+		code, got := getSessionResponse(t, ts.URL, sr.ID)
+		if code != http.StatusOK || got.Decision == nil {
+			t.Fatalf("recovered get after batch %d: status %d, %+v", i, code, got)
+		}
+		want.ExpiresAt, got.ExpiresAt = time.Time{}, time.Time{}
+		if got.State != want.State || *got.Decision != *want.Decision {
+			t.Fatalf("recovered after batch %d: %+v %+v, want %+v %+v", i, got.State, *got.Decision, want.State, *want.Decision)
+		}
+	}
+	t.Cleanup(func() { fst.Close() })
+}
+
 // TestSessionDeleteTombstoneSurvivesRestart: an explicit DELETE is
 // forever — a restarted server must not resurrect the session from its
 // journal.

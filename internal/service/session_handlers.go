@@ -69,12 +69,16 @@ func sessionState(s *advisor.Session) SessionState {
 // advise asks the session for its standing decision, counting every
 // decision actually served. During an outage there is none (nil).
 //
-// When no decision is cached, consulting the policy is a state change
-// (DPNextFailure advances its plan cursor in NextChunk), so the
-// decision point is journaled as an "advised" record BEFORE the policy
-// runs: replay then consults the policy at exactly the same points. If
-// the append fails, the policy is left unconsulted and no decision is
-// served — the client retries, nothing desyncs. Callers hold ls.mu.
+// When no decision is cached, consulting the policy can be a state
+// change (DPNextFailure advances its plan cursor in NextChunk), so
+// where replay must consult the policy at the same point
+// (Session.ConsultNeedsMarker), the decision point is journaled as an
+// "advised" record BEFORE the policy runs. If the append fails, the
+// policy is left unconsulted and no decision is served — the client
+// retries, nothing desyncs. A policy that declares that NextChunk keeps
+// no state needs a record only when progress came after the last commit
+// or recovery; otherwise replay places the consult from the events
+// alone, and the batch costs no extra append. Callers hold ls.mu.
 //
 // A fresh consult records an "advisor.replan" span whose warm attribute
 // separates the session's first plan (cold) from later re-plans that
@@ -84,7 +88,7 @@ func (s *Server) advise(ctx context.Context, ls *liveSession) *advisor.Decision 
 		return nil
 	}
 	fresh := !ls.sess.HasDecision()
-	if fresh {
+	if fresh && ls.sess.ConsultNeedsMarker() {
 		if err := s.st.AppendAdvised(ctx, ls.id); err != nil {
 			s.log.Error("session advised-marker append failed", "session", ls.id, "err", err)
 			return nil

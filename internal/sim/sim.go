@@ -38,6 +38,16 @@ type (
 	// CommitObserver is implemented by policies that track successfully
 	// committed chunks.
 	CommitObserver = advisor.CommitObserver
+	// ChunkState declares how long what a policy's NextChunk advances can
+	// shape its later decisions.
+	ChunkState = advisor.ChunkState
+)
+
+// The ChunkState declarations (see advisor.ChunkState).
+const (
+	ChunkStateKept         = advisor.ChunkStateKept
+	ChunkStateNone         = advisor.ChunkStateNone
+	ChunkStateUntilFailure = advisor.ChunkStateUntilFailure
 )
 
 // Result aggregates one simulated run. The time components partition the

@@ -17,11 +17,16 @@
 //     session was compiled from,
 //   - one "event" record per accepted advisor.Event, appended before the
 //     resulting decision is released to the client,
-//   - an "advised" record at every decision point where the policy was
-//     actually consulted (policies such as DPNextFailure advance an
-//     internal plan cursor in NextChunk, so a faithful replay must
-//     consult the policy at exactly the recorded points, no more and no
-//     fewer),
+//   - an "advised" record at the decision points where a replay must
+//     consult the policy again, as the policy's advisor.ChunkState
+//     declaration decides: every consult of a policy that declares
+//     nothing, and of DPNextFailure and Liu, which advance a plan
+//     cursor in NextChunk (their replay consults only the records after
+//     the last "recovered" event, because a failure discards the plan);
+//     for a policy whose NextChunk keeps no state (the periodic family,
+//     DPMakespan) only a consult that follows a progress event since
+//     the last commit or recovery, since its replay places any other
+//     consult from the events alone,
 //   - a terminal "tombstone" record written by DELETE and by TTL
 //     eviction, after which the session is never resurrectable.
 //
@@ -29,7 +34,9 @@
 // returns the spec and the recorded steps, the service recompiles the
 // advisor through the same registry and engine cache, and
 // Advisor.ReplaySession re-applies the steps. The recovered session's
-// next decision is byte-identical to the uninterrupted one.
+// next decision is byte-identical to the uninterrupted one. Logs
+// written before policies declared their ChunkState hold a record at
+// every consult; they replay unchanged, the surplus records skipped.
 //
 // The result store is a flat content-addressed KV keyed by
 // spec.CanonicalCellHash (experiment canonical hash + cell index): a
