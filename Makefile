@@ -42,21 +42,33 @@ bench-smoke:
 # keeps the median of each benchmark's three runs. Bump PR= per stacked
 # PR; the prose interpretation stays in BENCH.md.
 #
-# The advisor package's session benches run at a fixed multi-iteration
-# count instead of -benchtime 1x: they have stateful burn-in (the
-# DPNextFailure warm-start memo needs the failure pattern to become
-# stationary), so a 1x run would record only the cold first iteration.
-# Everything else, the advisor's millisecond-scale replay rung included,
-# stays at 1x to keep the pass fast; all streams feed one
-# chkpt-benchjson invocation (the parser handles concatenation).
-PR ?= 18
+# BENCH_STREAMS is one pass, five streams that all feed one
+# chkpt-benchjson invocation (the parser handles concatenation):
+#
+#   - every package but the four below runs each rung once (1x);
+#   - the packages whose rungs take nanoseconds (specialfn, rng, obs,
+#     dist) run 100000x, so allocs/op is a per-op figure: at 1x one
+#     stray runtime allocation reads as 1 alloc/op and breaks an exact
+#     zero-alloc pin;
+#   - the advisor's session rungs run at ADVISOR_BENCHTIME: they have
+#     stateful burn-in (the DPNextFailure warm-start memo needs the
+#     failure pattern to become stationary), so a 1x run would record
+#     only the cold first iteration;
+#   - BenchmarkSessionDPNextFailureStepWeibull, a millisecond-scale
+#     re-plan, runs 500x, past the 128-iteration burn-in during which
+#     its 64 units first fail (at 20000x it alone took ~46 s per run);
+#   - the advisor's millisecond-scale replay rung runs 1x.
+PR ?= 19
 ADVISOR_BENCHTIME ?= 20000x
 
+BENCH_STREAMS = { $(GO) test -run xxx -bench . -benchtime 1x -count 3 -benchmem $$($(GO) list ./... | grep -v -E 'internal/(advisor|specialfn|rng|obs|dist)$$'); \
+	  $(GO) test -run xxx -bench . -benchtime 100000x -count 3 -benchmem ./internal/specialfn ./internal/rng ./internal/obs ./internal/dist; \
+	  $(GO) test -run xxx -bench BenchmarkSession -skip BenchmarkSessionDPNextFailureStepWeibull -benchtime $(ADVISOR_BENCHTIME) -count 3 -benchmem ./internal/advisor; \
+	  $(GO) test -run xxx -bench BenchmarkSessionDPNextFailureStepWeibull -benchtime 500x -count 3 -benchmem ./internal/advisor; \
+	  $(GO) test -run xxx -bench BenchmarkReplay -benchtime 1x -count 3 -benchmem ./internal/advisor; }
+
 bench-json:
-	{ $(GO) test -run xxx -bench . -benchtime 1x -count 3 -benchmem $$($(GO) list ./... | grep -v internal/advisor); \
-	  $(GO) test -run xxx -bench BenchmarkSession -benchtime $(ADVISOR_BENCHTIME) -count 3 -benchmem ./internal/advisor; \
-	  $(GO) test -run xxx -bench BenchmarkReplay -benchtime 1x -count 3 -benchmem ./internal/advisor; } \
-	  | $(GO) run ./cmd/chkpt-benchjson -pr $(PR) > BENCH_$(PR).json
+	$(BENCH_STREAMS) | $(GO) run ./cmd/chkpt-benchjson -pr $(PR) > BENCH_$(PR).json
 	@echo "wrote BENCH_$(PR).json"
 
 # Bench-regression gate: rerun the suite with the bench-json recipe and
@@ -68,10 +80,7 @@ bench-json:
 BENCH_BASELINE ?= BENCH_$(PR).json
 
 bench-compare:
-	{ $(GO) test -run xxx -bench . -benchtime 1x -count 3 -benchmem $$($(GO) list ./... | grep -v internal/advisor); \
-	  $(GO) test -run xxx -bench BenchmarkSession -benchtime $(ADVISOR_BENCHTIME) -count 3 -benchmem ./internal/advisor; \
-	  $(GO) test -run xxx -bench BenchmarkReplay -benchtime 1x -count 3 -benchmem ./internal/advisor; } \
-	  | $(GO) run ./cmd/chkpt-benchjson -pr $(PR) > /tmp/bench-current.json
+	$(BENCH_STREAMS) | $(GO) run ./cmd/chkpt-benchjson -pr $(PR) > /tmp/bench-current.json
 	$(GO) run ./cmd/chkpt-benchjson compare -threshold 5 -allocs-threshold 1.5 -min-ns 1000 $(BENCH_BASELINE) /tmp/bench-current.json
 
 # Boot chkpt-serve, wait for /healthz, assert one real /v1/recommend
@@ -296,6 +305,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDPNextFailureReplan -fuzztime 10s ./internal/policy
 	$(GO) test -run xxx -fuzz FuzzStoreDecode -fuzztime 10s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzSessionRecord -fuzztime 10s ./internal/store
+	$(GO) test -run xxx -fuzz FuzzWeibullPow -fuzztime 10s ./internal/dist
 
 # The repository benchmark is a module of its own (perfbench/, outside
 # the root ./...), so nothing else compiles it. Vet it, run its tests,

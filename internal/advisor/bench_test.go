@@ -140,8 +140,8 @@ func BenchmarkSessionDPNextFailureStepCold(b *testing.B) {
 // pattern on the paper's Weibull law (125-year unit MTBF, shape 0.7) at
 // the resolution of the sessions benchmark spec. The other session rungs
 // plan on an Exponential law, whose cumulative hazard is one division;
-// here every survival-grid entry costs a math.Pow per age group, so this
-// rung shows what the grid fill costs a re-plan.
+// here every survival-grid entry costs a Weibull power per age group, so
+// this rung shows what the grid fill costs a re-plan.
 func BenchmarkSessionDPNextFailureStepWeibull(b *testing.B) {
 	law := dist.WeibullFromMeanShape(125*365.25*86400, 0.7)
 	planner := policy.NewDPNextFailurePlanner(law, law.Mean(), policy.WithQuanta(60))

@@ -11,6 +11,7 @@ import (
 	"path"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/advisor"
 	"repro/internal/cluster"
@@ -203,7 +204,11 @@ func TestRemoteReplayNearOldCap(t *testing.T) {
 	}
 	hs := httptest.NewServer(cluster.NewStoreServer(cluster.ServerConfig{Backend: be}).Handler())
 	t.Cleanup(hs.Close)
-	rs, err := cluster.NewRemote(cluster.RemoteConfig{BaseURL: hs.URL})
+	// The test checks the size cap, not latency: under -race, with other
+	// packages' tests sharing a few CPUs, a ~100 MB replay can outlast
+	// the default 5-s attempt timeout, so the attempt gets time sized for
+	// that.
+	rs, err := cluster.NewRemote(cluster.RemoteConfig{BaseURL: hs.URL, Timeout: 2 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func (w Weibull) Density(x float64) float64 {
 		}
 	}
 	z := x / w.Scale
-	return w.Shape / w.Scale * math.Pow(z, w.Shape-1) * math.Exp(-math.Pow(z, w.Shape))
+	return w.Shape / w.Scale * pow(z, w.Shape-1) * math.Exp(-pow(z, w.Shape))
 }
 
 // CDF implements Distribution.
@@ -98,7 +98,7 @@ func (w Weibull) CumHazard(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	return math.Pow(x/w.Scale, w.Shape)
+	return pow(x/w.Scale, w.Shape)
 }
 
 // Quantile implements Distribution: F^{-1}(p) = scale * (-ln(1-p))^(1/k).
@@ -109,11 +109,39 @@ func (w Weibull) Quantile(p float64) float64 {
 	case p >= 1:
 		return math.Inf(1)
 	}
-	return w.Scale * math.Pow(-math.Log1p(-p), 1/w.Shape)
+	return w.Scale * pow(-math.Log1p(-p), 1/w.Shape)
 }
 
 // Sample implements Distribution by inverse transform: scale * E^(1/k)
 // with E a unit exponential draw.
 func (w Weibull) Sample(r *rng.Source) float64 {
-	return w.Scale * math.Pow(r.ExpFloat64(), 1/w.Shape)
+	return w.Scale * pow(r.ExpFloat64(), 1/w.Shape)
+}
+
+// pow returns math.Pow(z, y) bit for bit. For z in [2^-500, 2^500] and
+// the exponent classes below it performs only the operations math.Pow's
+// own code performs for that class, without the special-case dispatch,
+// the exponent split and the final rescale (doc.go explains why each arm
+// is exact); every other input goes to math.Pow. CumHazard's z^k, the
+// power every survival-grid entry costs, takes an arm for every shape in
+// (0, 1.5] but 1.
+func pow(z, y float64) float64 {
+	if !(z >= 0x1p-500 && z <= 0x1p500) {
+		return math.Pow(z, y)
+	}
+	switch {
+	case 0 < y && y < 0.5:
+		return math.Exp(y * math.Log(z))
+	case 0.5 < y && y < 1, 1 < y && y <= 1.5:
+		return math.Exp((y-1)*math.Log(z)) * z
+	case -0.5 < y && y < 0:
+		return 1 / math.Exp(-y*math.Log(z))
+	case y == 0.5:
+		return math.Sqrt(z)
+	case y == -0.5:
+		return 1 / math.Sqrt(z)
+	case y == 2:
+		return z * z
+	}
+	return math.Pow(z, y)
 }

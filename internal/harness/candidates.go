@@ -112,9 +112,10 @@ func StandardCandidatesWith(ctx context.Context, eng *engine.Engine, sc Scenario
 		case !l.Feasible():
 			out = append(out, Candidate{Name: "Liu", SkipReason: policy.ErrLiuInfeasible.Error()})
 		default:
-			// Liu carries per-run cursor state: fresh instance per run.
+			// Liu carries per-run cursor state: a fresh cursor per run
+			// over the one schedule integrated here.
 			out = append(out, Candidate{Name: "Liu", New: func() (sim.Policy, error) {
-				return policy.NewLiu(d.WorkP, d.Units, sc.Dist, d.C)
+				return l.NewPolicy(), nil
 			}})
 		}
 	}

@@ -48,7 +48,13 @@
 // quarter to two thirds of the grid at 30 quanta, nearly all at 150), the
 // list is kept while (x, u, c) stays, and each listed entry is computed
 // exactly as a complete fill computes it. A partly filled grid is never
-// shared, and is reused only for the (x, u, c) it was listed for.
+// shared, and is reused only for the (x, u, c) it was listed for. Each
+// instance also remembers, up to planMemoMax of them, the plans it
+// solved on shared grids, keyed by the grid's identity (a shared grid is
+// immutable, so its identity names its bits) and the bits of (x, u, c),
+// everything a solve reads: a run that returns to a state it already
+// planned, as runs on one processor keep doing after each failure,
+// serves the stored plan instead of solving again.
 // None of this changes a single decision:
 // exact-mode plans are bit-identical to the frozen from-scratch solver
 // in dpnextfailure_reference.go, which exists solely as the oracle for

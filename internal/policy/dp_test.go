@@ -359,6 +359,22 @@ func TestDPMakespanWeibullBuilds(t *testing.T) {
 	}
 }
 
+// TestDPMakespanTableKeepsOnlyChoices pins what a solved table keeps: a
+// run's walk reads only the choice tables, so the solve's value tables
+// and survival grids are dropped and SizeBytes weighs what is left.
+func TestDPMakespanTableKeepsOnlyChoices(t *testing.T) {
+	table, err := BuildDPMakespanTable(dist.WeibullFromMeanShape(9000, 0.7), 30000, 300, 300, 30, 0, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table.valFresh != nil || table.valPost != nil || table.gridFresh != nil || table.gridPost != nil {
+		t.Fatal("a solved table keeps its value tables or survival grids")
+	}
+	if want := int64(len(table.choiceFresh)+len(table.choicePost))*4 + 256; table.SizeBytes() != want {
+		t.Fatalf("SizeBytes = %d, want %d (the choice tables)", table.SizeBytes(), want)
+	}
+}
+
 func TestDPMakespanJobMismatch(t *testing.T) {
 	e := dist.NewExponentialMean(1000)
 	table, err := BuildDPMakespanTable(e, 1000, 10, 10, 1, 0, 20)

@@ -34,7 +34,9 @@ import (
 // over x, which permits very fine quanta.
 //
 // The table is immutable after construction and safely shared by
-// concurrent runs.
+// concurrent runs. It keeps only what a run's walk reads, the choice
+// tables, and the root state's expected makespan: the value tables and
+// survival grids of the solve are dropped once it ends.
 type DPMakespanTable struct {
 	d          dist.Distribution
 	work       float64
@@ -43,8 +45,10 @@ type DPMakespanTable struct {
 	x          int
 	u          float64
 	eTrec      float64
+	root       float64 // expected makespan from the initial state
 
-	// Generic (x, b, y) tables. yMax bounds the age coordinate.
+	// Generic (x, b, y) tables. yMax bounds the age coordinate. The value
+	// tables and grids live only while solveGeneric runs.
 	cq, rq      int
 	yMax        int
 	valFresh    []float64
@@ -56,7 +60,6 @@ type DPMakespanTable struct {
 
 	// Exponential fast path (expo != nil): 1-D exact DP.
 	expo      *dist.Exponential
-	valExp    []float64
 	choiceExp []int32
 }
 
@@ -168,8 +171,7 @@ func BuildDPMakespanTable(d dist.Distribution, work, c, r, down, tau0 float64, q
 	} else {
 		t.solveGeneric()
 	}
-	root := t.ExpectedMakespan()
-	if math.IsInf(root, 1) || math.IsNaN(root) {
+	if math.IsInf(t.root, 1) || math.IsNaN(t.root) {
 		return nil, fmt.Errorf("policy: DPMakespan: root state has no finite expected makespan")
 	}
 	return t, nil
@@ -181,7 +183,7 @@ func BuildDPMakespanTable(d dist.Distribution, work, c, r, down, tau0 float64, q
 //	E(x) = min_i [ P_i (len_i + E(x-i)) + (1-P_i)(lost_i + E(Trec)) ] / P_i.
 func (t *DPMakespanTable) solveExponential() {
 	lambda := t.expo.Lambda
-	t.valExp = make([]float64, t.x+1)
+	val := make([]float64, t.x+1)
 	t.choiceExp = make([]int32, t.x+1)
 	for x := 1; x <= t.x; x++ {
 		best := math.Inf(1)
@@ -193,18 +195,20 @@ func (t *DPMakespanTable) solveExponential() {
 				continue
 			}
 			lost := theory.ExpTlostExp(lambda, length)
-			cur := (p*(length+t.valExp[x-i]) + (1-p)*(lost+t.eTrec)) / p
+			cur := (p*(length+val[x-i]) + (1-p)*(lost+t.eTrec)) / p
 			if cur < best {
 				best = cur
 				bestI = int32(i)
 			}
 		}
-		t.valExp[x] = best
+		val[x] = best
 		t.choiceExp[x] = bestI
 	}
+	t.root = val[t.x]
 }
 
-// solveGeneric runs the (x, b, y) DP bottom-up over x.
+// solveGeneric runs the (x, b, y) DP bottom-up over x, then keeps the
+// root value and drops the value tables and grids.
 func (t *DPMakespanTable) solveGeneric() {
 	t.cq = int(math.Round(t.c / t.u))
 	t.rq = int(math.Round(t.r / t.u))
@@ -243,6 +247,8 @@ func (t *DPMakespanTable) solveGeneric() {
 			t.solveStateWithFail(true, x, y, failTail)
 		}
 	}
+	t.root = t.valFresh[t.idx(t.x, 0)]
+	t.valFresh, t.valPost, t.gridFresh, t.gridPost = nil, nil, nil, nil
 }
 
 func (t *DPMakespanTable) idx(x, y int) int { return x*(t.yMax+1) + y }
@@ -316,27 +322,15 @@ func (t *DPMakespanTable) succValue(fresh bool, x, y int) float64 {
 
 // ExpectedMakespan returns the DP's expected makespan from the initial
 // state (the approximation of E(T*(W|tau0)) computed by Algorithm 1).
-func (t *DPMakespanTable) ExpectedMakespan() float64 {
-	if t.expo != nil {
-		return t.valExp[t.x]
-	}
-	return t.valFresh[t.idx(t.x, 0)]
-}
+func (t *DPMakespanTable) ExpectedMakespan() float64 { return t.root }
 
 // Quantum returns the time quantum u.
 func (t *DPMakespanTable) Quantum() float64 { return t.u }
 
-// SizeBytes estimates the table's memory footprint, used by the experiment
-// engine's cache to budget evictions.
+// SizeBytes estimates the table's memory footprint (its choice tables),
+// by which the experiment engine's cache budgets evictions.
 func (t *DPMakespanTable) SizeBytes() int64 {
-	n := int64(len(t.valFresh)+len(t.valPost)+len(t.valExp))*8 +
-		int64(len(t.choiceFresh)+len(t.choicePost)+len(t.choiceExp))*4
-	for _, g := range []*tlostGrid{t.gridFresh, t.gridPost} {
-		if g != nil {
-			n += int64(len(g.s)+len(g.in)) * 8
-		}
-	}
-	return n + 256
+	return int64(len(t.choiceFresh)+len(t.choicePost)+len(t.choiceExp))*4 + 256
 }
 
 // chunkAt returns the optimal chunk (in quanta) for the given walking

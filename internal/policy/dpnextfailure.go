@@ -58,6 +58,14 @@ import (
 //   - An instance-owned grid of more than sharedGridMaxGroups groups is
 //     filled only at the entries the solve reads (listGridReads), each
 //     computed exactly as a full fill computes it.
+//   - Each instance remembers the plans it solved on cache-shared grids,
+//     keyed by the grid and the bits of (x, u, c) (planKey): a shared
+//     grid is never written after its build, so its identity names its
+//     bits, and a re-plan whose state lands on a remembered key serves
+//     the stored plan instead of solving. A run on one processor keeps
+//     returning to the same recovered age at the same remaining work, so
+//     its re-plans are mostly served. Instance-owned grids are refilled
+//     in place and never enter the memo; planMemoMax bounds it.
 //   - Candidate chunks whose provable upper bound e^d <= 1+d+d^2/2
 //     (valid for d <= 0) cannot beat the incumbent skip the math.Exp
 //     call; a 1e-9 relative slack absorbs float rounding so the argmax —
@@ -121,6 +129,9 @@ type DPNextFailure struct {
 	// grids, when non-nil, shares the survival grids of non-pristine
 	// states with the other instances of the same scope (NewScopedPolicy).
 	grids SharedCache
+	// solveHook, when set, observes the input of every DP solve of the
+	// warm path (tests count solves through it).
+	solveHook func(planKey)
 }
 
 // DPNextFailureOption customizes the policy.
@@ -396,7 +407,27 @@ type replanScratch struct {
 	prevX     int
 	prevTrunc bool
 	planOK    bool
+
+	// The plans solved on cache-shared grids (see planKey), cleared when
+	// it holds planMemoMax of them.
+	memo map[planKey][]float64
 }
+
+// planKey names a solve on a cache-shared survival grid: the grid, whose
+// identity names its bits because a shared grid is never written after
+// its build, and the bits of (x, u, c). The solve reads nothing else, so
+// equal keys mean bitwise-equal plans. An instance-owned grid is refilled
+// in place and never names a key.
+type planKey struct {
+	grid *survivalGrid
+	x    int
+	u, c uint64
+}
+
+// planMemoMax bounds an instance's plan memo. A run revisits few
+// post-failure states (on one processor, the recovered age at each
+// remaining-work level), so a small memo serves most of its re-plans.
+const planMemoMax = 64
 
 func (p *DPNextFailure) scratch() *replanScratch {
 	if p.rp == nil {
@@ -446,9 +477,33 @@ func (p *DPNextFailure) replan(s *sim.State) []float64 {
 		sc.acquireGrid(pl, shared, groups, x, u, c, tmax, gridN)
 	}
 
-	pl.solveInto(sc, x, c)
+	// Keys of the instance-owned grid never enter the memo, so a hit is
+	// a plan solved on this very shared grid.
+	key := planKey{grid: sc.grid, x: x, u: math.Float64bits(u), c: math.Float64bits(c)}
+	if plan, ok := sc.memo[key]; ok {
+		sc.plan = append(sc.plan[:0], plan...)
+	} else {
+		if p.solveHook != nil {
+			p.solveHook(key)
+		}
+		pl.solveInto(sc, x, c)
+		if sc.grid != &sc.ownGrid {
+			sc.remember(key)
+		}
+	}
 	sc.prevU, sc.prevC, sc.prevX, sc.prevTrunc, sc.planOK = u, c, x, truncated, true
 	return pl.finishPlan(sc, truncated)
+}
+
+// remember stores a copy of the plan just solved under key.
+func (sc *replanScratch) remember(key planKey) {
+	if len(sc.memo) >= planMemoMax {
+		clear(sc.memo)
+	}
+	if sc.memo == nil {
+		sc.memo = make(map[planKey][]float64)
+	}
+	sc.memo[key] = append([]float64(nil), sc.plan...)
 }
 
 // finishPlan applies the §3.3 execute-half-the-plan rule to the scratch

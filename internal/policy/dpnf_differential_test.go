@@ -413,7 +413,9 @@ func (c *gridCache) Do(key string, build func() (any, int64, error)) (any, error
 // sharedGridMaxGroups, so re-plans switch between shared complete grids
 // and instance-owned grids filled only where the solve reads. Two
 // instances evolve different histories on the same caches; every plan
-// stays bit-identical to the reference.
+// stays bit-identical to the reference. The single-unit recurring case
+// revisits shared-grid states out of order, so most of its plans come
+// from the instance's plan memo.
 func TestDPNextFailureReplanMatchesReferenceSharedGrids(t *testing.T) {
 	const mean = 2e6
 	laws := diffLaws(mean)
@@ -443,6 +445,91 @@ func TestDPNextFailureReplanMatchesReferenceSharedGrids(t *testing.T) {
 				}
 			})
 		}
+		t.Run(d.Name()+"/singleRecurring", func(t *testing.T) {
+			t.Parallel()
+			job := &sim.Job{Work: 1e12, C: 400, R: 400, D: 60, Units: 1}
+			process, scope := newGridCache(), newGridCache()
+			pl := NewDPNextFailurePlanner(d, mean, WithSharedGrids(process, d.Name()), WithQuanta(20))
+			for k := uint64(0); k < 2; k++ {
+				diffRecur(t, pl.NewScopedPolicy(scope), job, 31+k, 90)
+			}
+		})
+	}
+}
+
+// diffRecur re-plans one single-unit instance at states drawn at random
+// from nine: three ages since the last renewal (the first the age right
+// after a recovery) at three remaining-work levels (one truncated at the
+// horizon cap), as a one-processor run meets them after its failures.
+// Every plan must equal the reference's; a state met before, but not on
+// the previous call, must be served by the plan memo.
+func diffRecur(t *testing.T, p *DPNextFailure, job *sim.Job, seed uint64, steps int) {
+	t.Helper()
+	if err := p.Start(job); err != nil {
+		t.Fatal(err)
+	}
+	ages := []float64{job.D + job.R, 3e4, 2.5e5}
+	remaining := []float64{job.Work, 5e5, 2e5}
+	sc := p.scratch()
+	r := rng.NewStream(seed, 9)
+	s := &sim.State{Job: job, LastRenewal: make([]float64, 1), FailedUnits: []int32{0}}
+	seen := map[[2]int]bool{}
+	last, memoServed := [2]int{-1, -1}, 0
+	for step := 0; step < steps; step++ {
+		st := [2]int{r.IntN(len(ages)), r.IntN(len(remaining))}
+		s.Failures++
+		s.Now = 1e7 + float64(step)*1e6
+		s.LastRenewal[0] = s.Now - ages[st[0]]
+		s.Remaining = remaining[st[1]]
+		memoLen := len(sc.memo)
+		diffComparePlans(t, step, p.replan(s), p.planner.replanReference(s))
+		if t.Failed() {
+			t.Fatalf("seed %d step %d: re-plan diverged from the reference", seed, step)
+		}
+		if seen[st] && st != last {
+			if len(sc.memo) != memoLen {
+				t.Fatalf("seed %d step %d: a state met before was solved again", seed, step)
+			}
+			memoServed++
+		}
+		seen[st], last = true, st
+	}
+	if memoServed == 0 {
+		t.Fatal("the memo served no plan")
+	}
+	if len(sc.memo) != len(seen) {
+		t.Fatalf("memo holds %d plans for %d distinct states", len(sc.memo), len(seen))
+	}
+}
+
+// TestDPNextFailureMemoKeyCarriesUAndC pins the plan memo's key: two
+// single-unit jobs whose u + c agree re-plan at one age on one shared
+// grid (same age group, same tmax), so only u and c tell their solves
+// apart. Alternating between them, each re-plan after the first two is a
+// memo hit and must still be its own state's plan.
+func TestDPNextFailureMemoKeyCarriesUAndC(t *testing.T) {
+	const mean = 2e6
+	law := dist.WeibullFromMeanShape(mean, 0.7)
+	jobA := &sim.Job{Work: 1e12, C: 28, R: 28, D: 60, Units: 1}
+	jobB := &sim.Job{Work: 1e12, C: 64, R: 64, D: 60, Units: 1}
+	state := func(job *sim.Job, remaining float64) *sim.State {
+		return &sim.State{Job: job, Now: 1e6, Remaining: remaining,
+			LastRenewal: []float64{4e5}, FailedUnits: []int32{0}, Failures: 1}
+	}
+	sA, sB := state(jobA, 700), state(jobB, 448) // u = 100 and 64, tmax 1024
+	pl := NewDPNextFailurePlanner(law, mean, WithSharedGrids(newGridCache(), law.Name()), WithQuanta(7))
+	p := pl.NewScopedPolicy(newGridCache())
+	for i, s := range []*sim.State{sA, sB, sA, sB} {
+		if err := p.Start(s.Job); err != nil {
+			t.Fatal(err)
+		}
+		diffComparePlans(t, i, p.replan(s), pl.replanReference(s))
+		if t.Failed() {
+			t.Fatalf("re-plan %d diverged from the reference", i)
+		}
+	}
+	if p.rp.grid == &p.rp.ownGrid || len(p.rp.memo) != 2 {
+		t.Fatalf("want both plans memoized on one shared grid, memo holds %d", len(p.rp.memo))
 	}
 }
 

@@ -53,6 +53,14 @@ func NewLiu(work float64, units int, d dist.Distribution, c float64) (*Liu, erro
 	return l, nil
 }
 
+// NewPolicy returns a fresh per-run instance over l's schedule. The dates
+// are read-only once NewLiu returns, so concurrent runs share them, and
+// each run gets its own cursor: a candidate set integrates the schedule
+// once instead of once per run.
+func (l *Liu) NewPolicy() *Liu {
+	return &Liu{dates: l.dates, c: l.c, feasible: l.feasible}
+}
+
 // liuSchedule integrates the frequency function and returns checkpoint
 // dates covering at least `work` units of execution. It returns
 // ErrLiuInfeasible if any interval (including the first) is at most C.

@@ -3,6 +3,8 @@ package policy
 import (
 	"context"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/dist"
@@ -257,6 +259,71 @@ func TestLiuThroughSimulator(t *testing.T) {
 	}
 	if e := res.AccountingError(); math.Abs(e) > 1e-6 {
 		t.Errorf("accounting error %v", e)
+	}
+}
+
+// TestLiuRunsShareScheduleWithOwnCursors runs simulations concurrently
+// on instances that share one schedule (Liu.NewPolicy), each on its own
+// failure trace: every run must equal a run on a schedule of its own, so
+// no run moves another's cursor. Run it under -race.
+func TestLiuRunsShareScheduleWithOwnCursors(t *testing.T) {
+	wb := dist.WeibullFromMeanShape(86400, 0.7)
+	job := &sim.Job{Work: 20 * 86400, C: 600, R: 600, D: 60, Units: 1}
+	shared, err := NewLiu(job.Work, 1, wb, job.C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dates := shared.Dates()
+
+	// Interleaved by hand: one run's commit must not move the other's
+	// cursor.
+	a, b := shared.NewPolicy(), shared.NewPolicy()
+	for _, l := range []*Liu{a, b} {
+		if err := l.Start(job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := &sim.State{Job: job, Remaining: job.Work}
+	first := a.NextChunk(s)
+	a.OnChunkCommitted(s, first)
+	if got := b.NextChunk(s); got != first {
+		t.Fatalf("second run's first chunk %v, want %v (the first run's)", got, first)
+	}
+
+	const runs = 6
+	got := make([]sim.Result, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ts := trace.GenerateRenewal(wb, 1, 1e9, job.D, uint64(i+1))
+			got[i], errs[i] = sim.Run(context.Background(), job, shared.NewPolicy(), ts)
+		}()
+	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		own, err := NewLiu(job.Work, 1, wb, job.C)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.Run(context.Background(), job, own, trace.GenerateRenewal(wb, 1, 1e9, job.D, uint64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("run %d on the shared schedule: %+v, on its own: %+v", i, got[i], want)
+		}
+		if got[i].Failures == 0 {
+			t.Errorf("run %d met no failure, so its cursor never reset", i)
+		}
+	}
+	if !slices.Equal(shared.Dates(), dates) {
+		t.Error("runs changed the shared schedule")
 	}
 }
 

@@ -175,10 +175,10 @@ func init() {
 		case !l.Feasible():
 			return harness.Candidate{Name: name, SkipReason: policy.ErrLiuInfeasible.Error()}, nil
 		}
-		// Liu carries per-run cursor state: fresh instance per run.
-		dist := env.Scenario.Dist
+		// Liu carries per-run cursor state: a fresh cursor per run over
+		// the one schedule integrated here.
 		return harness.Candidate{Name: name, New: func() (sim.Policy, error) {
-			return policy.NewLiu(d.WorkP, d.Units, dist, d.C)
+			return l.NewPolicy(), nil
 		}}, nil
 	})
 	RegisterPolicy("period", func(_ context.Context, ps PolicySpec, env PolicyEnv) (harness.Candidate, error) {
