@@ -42,10 +42,11 @@ bench-smoke:
 # keeps the median of each benchmark's three runs. Bump PR= per stacked
 # PR; the prose interpretation stays in BENCH.md.
 #
-# BENCH_STREAMS is one pass, five streams that all feed one
+# BENCH_STREAMS is one pass, six streams that all feed one
 # chkpt-benchjson invocation (the parser handles concatenation):
 #
-#   - every package but the four below runs each rung once (1x);
+#   - every package but the four below runs each rung once (1x), except
+#     the store-append rungs;
 #   - the packages whose rungs take nanoseconds (specialfn, rng, obs,
 #     dist) run 100000x, so allocs/op is a per-op figure: at 1x one
 #     stray runtime allocation reads as 1 alloc/op and breaks an exact
@@ -57,15 +58,21 @@ bench-smoke:
 #   - BenchmarkSessionDPNextFailureStepWeibull, a millisecond-scale
 #     re-plan, runs 500x, past the 128-iteration burn-in during which
 #     its 64 units first fail (at 20000x it alone took ~46 s per run);
-#   - the advisor's millisecond-scale replay rung runs 1x.
-PR ?= 19
+#   - the advisor's replay rung runs 300x, so each figure averages 300
+#     restores: its 20-us young case read 19 to 43 us at 1x;
+#   - the store-append rungs (BenchmarkStoreAppend{Mem,File} and
+#     BenchmarkRemoteStoreAppend) run 6400x, so their 1, 8 and 64
+#     writers each append 6400/writers events per run and ns/op is a
+#     per-append figure.
+PR ?= 20
 ADVISOR_BENCHTIME ?= 20000x
 
-BENCH_STREAMS = { $(GO) test -run xxx -bench . -benchtime 1x -count 3 -benchmem $$($(GO) list ./... | grep -v -E 'internal/(advisor|specialfn|rng|obs|dist)$$'); \
+BENCH_STREAMS = { $(GO) test -run xxx -bench . -skip StoreAppend -benchtime 1x -count 3 -benchmem $$($(GO) list ./... | grep -v -E 'internal/(advisor|specialfn|rng|obs|dist)$$'); \
 	  $(GO) test -run xxx -bench . -benchtime 100000x -count 3 -benchmem ./internal/specialfn ./internal/rng ./internal/obs ./internal/dist; \
 	  $(GO) test -run xxx -bench BenchmarkSession -skip BenchmarkSessionDPNextFailureStepWeibull -benchtime $(ADVISOR_BENCHTIME) -count 3 -benchmem ./internal/advisor; \
 	  $(GO) test -run xxx -bench BenchmarkSessionDPNextFailureStepWeibull -benchtime 500x -count 3 -benchmem ./internal/advisor; \
-	  $(GO) test -run xxx -bench BenchmarkReplay -benchtime 1x -count 3 -benchmem ./internal/advisor; }
+	  $(GO) test -run xxx -bench BenchmarkReplay -benchtime 300x -count 3 -benchmem ./internal/advisor; \
+	  $(GO) test -run xxx -bench StoreAppend -benchtime 6400x -count 3 -benchmem ./internal/store ./internal/cluster; }
 
 bench-json:
 	$(BENCH_STREAMS) | $(GO) run ./cmd/chkpt-benchjson -pr $(PR) > BENCH_$(PR).json

@@ -44,3 +44,26 @@ func BenchmarkRemoteStoreReplay(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRemoteStoreAppend is the append rung over the wire: a
+// RemoteStore with the default HTTP client, a StoreServer on a loopback
+// listener, and a FileStore on /dev/shm where it exists.
+func BenchmarkRemoteStoreAppend(b *testing.B) {
+	storetest.BenchAppend(b, func(b *testing.B) store.SessionLog {
+		fs, err := store.Open(storetest.ShmDir(b), store.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		hs := httptest.NewServer(cluster.NewStoreServer(cluster.ServerConfig{Backend: fs}).Handler())
+		rs, err := cluster.NewRemote(cluster.RemoteConfig{BaseURL: hs.URL})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() {
+			rs.Close()
+			hs.Close()
+			fs.Close()
+		})
+		return rs
+	})
+}

@@ -203,13 +203,18 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	ls, expires, existed, err := s.store.create(r.Context(), id, ss.Name, submittedHash, sess)
 	if err != nil {
-		if errors.Is(err, errSessionsFull) {
+		switch {
+		case errors.Is(err, errSessionsFull):
 			// Counted by the store (chkpt_sessions_rejected_total), not as
 			// an admission-queue shed.
 			writeError(w, http.StatusTooManyRequests, err)
-			return
+		case errors.Is(err, store.ErrTombstoned):
+			// The id was just reaped; its log ends in a tombstone, as a
+			// create after the tombstone lands finds too.
+			writeError(w, http.StatusNotFound, errSessionNotFound(id))
+		default:
+			writeError(w, errorStatus(err), err)
 		}
-		writeError(w, errorStatus(err), err)
 		return
 	}
 	if existed {
@@ -262,12 +267,18 @@ func errSpecMismatch(id string) error {
 // Rehydration recompiles the advisor from the journaled spec — a real
 // solve for DP policies, so it runs inside the admission bulkhead like
 // creation does — and replays the recorded steps, which by the replay
-// equivalence property restores the session bit-identically. On failure
-// it writes the error response and returns ok=false.
+// equivalence property restores the session bit-identically. An id this
+// replica removed answers 404 without a replay while its tombstone is
+// pending. On failure it writes the error response and returns ok=false.
 func (s *Server) getSession(w http.ResponseWriter, r *http.Request, id string) (*liveSession, time.Time, bool) {
 	if ls, expires, ok := s.store.get(r.Context(), id); ok {
 		return ls, expires, true
 	}
+	if !s.store.beginReplay(id) {
+		writeError(w, http.StatusNotFound, errSessionNotFound(id))
+		return nil, time.Time{}, false
+	}
+	defer s.store.endReplay(id)
 	rep, err := s.st.Replay(r.Context(), id)
 	if err != nil {
 		switch {
@@ -384,14 +395,7 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.store.delete(r.Context(), id) {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	// Not live — but its log may exist (a restarted server deleting a
-	// session it never rehydrated). Tombstone it directly so the delete
-	// is durable without paying for a replay.
-	err := s.st.Tombstone(r.Context(), id)
+	err := s.store.delete(r.Context(), id)
 	switch {
 	case err == nil:
 		w.WriteHeader(http.StatusNoContent)

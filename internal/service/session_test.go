@@ -2,14 +2,18 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/advisor"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -431,5 +435,203 @@ func TestSessionConcurrentEvents(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no events applied")
+	}
+}
+
+// blockingTombstoneLog is a MemStore whose Tombstone of one id waits
+// until released. A Replay of that id that reads the log while the
+// tombstone waits returns only once the tombstone has returned, as a
+// replay that took the log's lock just ahead of the tombstone does.
+type blockingTombstoneLog struct {
+	*store.MemStore
+	id      string
+	entered chan struct{} // closed when Tombstone(id) starts waiting
+	release chan struct{} // closed to let it proceed
+	done    chan struct{} // closed when it has returned
+
+	enter, finish sync.Once
+}
+
+func (l *blockingTombstoneLog) Tombstone(ctx context.Context, id string) error {
+	if id != l.id {
+		return l.MemStore.Tombstone(ctx, id)
+	}
+	l.enter.Do(func() { close(l.entered) })
+	<-l.release
+	err := l.MemStore.Tombstone(ctx, id)
+	l.finish.Do(func() { close(l.done) })
+	return err
+}
+
+func (l *blockingTombstoneLog) Replay(ctx context.Context, id string) (*store.SessionReplay, error) {
+	rep, err := l.MemStore.Replay(ctx, id)
+	if id == l.id {
+		select {
+		case <-l.entered:
+			<-l.done
+		default:
+		}
+	}
+	return rep, err
+}
+
+// TestSessionReapTombstonesOutsideTheMapLock: a reap writes its
+// tombstone after the session-map lock is released. While an expired
+// session's tombstone hangs, a GET of another live session answers,
+// and the reaped id is neither rehydrated, deleted again nor created
+// again: GET and DELETE answer 404 without touching its log.
+func TestSessionReapTombstonesOutsideTheMapLock(t *testing.T) {
+	clock := obs.NewFakeClock(time.Unix(1_700_000_000, 0), time.Millisecond)
+	log := &blockingTombstoneLog{MemStore: store.NewMem(), id: "reaped",
+		entered: make(chan struct{}), release: make(chan struct{}), done: make(chan struct{})}
+	srv, ts := newTestServer(t, Config{Store: log, Clock: clock, SessionTTL: time.Minute})
+	var once sync.Once
+	release := func() { once.Do(func() { close(log.release) }) }
+	t.Cleanup(release) // before the server's Close, which waits for the stuck request
+	body := sessionSpecJSON(`{"kind": "young"}`)
+	if resp, b := postJSON(t, ts.URL+"/v1/sessions?id=reaped", body); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, b)
+	}
+	clock.Advance(40 * time.Second)
+	live := createSession(t, ts.URL, body)
+	clock.Advance(30 * time.Second) // "reaped" is past its TTL, live is not
+
+	do := func(method, id string) <-chan int {
+		code := make(chan int, 1)
+		go func() {
+			req, err := http.NewRequest(method, ts.URL+"/v1/sessions/"+id, nil)
+			if err != nil {
+				t.Error(err)
+				code <- 0
+				return
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				code <- 0
+				return
+			}
+			resp.Body.Close()
+			code <- resp.StatusCode
+		}()
+		return code
+	}
+	// promptly waits for a request that must answer while the tombstone
+	// hangs; one that waits for it fails the test.
+	promptly := func(code <-chan int, what string) int {
+		t.Helper()
+		select {
+		case c := <-code:
+			return c
+		case <-time.After(10 * time.Second):
+			release()
+			t.Fatalf("%s waited for the reaped session's tombstone, then answered %d", what, <-code)
+			return 0
+		}
+	}
+	reaped := do(http.MethodGet, "reaped")
+	select {
+	case <-log.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the expired session was never tombstoned")
+	}
+	if code := promptly(do(http.MethodGet, live.ID), "a GET of a live session"); code != http.StatusOK {
+		t.Fatalf("GET of the live session: %d", code)
+	}
+	// The log is not yet tombstoned, but the id must not come back.
+	if code := promptly(do(http.MethodGet, "reaped"), "a GET of the reaped id"); code != http.StatusNotFound {
+		t.Fatalf("GET of the reaped id while its tombstone is pending: %d", code)
+	}
+	if code := promptly(do(http.MethodDelete, "reaped"), "a DELETE of the reaped id"); code != http.StatusNotFound {
+		t.Fatalf("DELETE of the reaped id while its tombstone is pending: %d", code)
+	}
+	if resp, b := postJSON(t, ts.URL+"/v1/sessions?id=reaped", body); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("re-create of the reaped id while its tombstone is pending: %d %s", resp.StatusCode, b)
+	}
+
+	release()
+	if code := <-reaped; code != http.StatusNotFound {
+		t.Fatalf("GET that reaped the session: %d", code)
+	}
+	if code, _ := getSessionResponse(t, ts.URL, "reaped"); code != http.StatusNotFound {
+		t.Fatalf("GET of the reaped id after its tombstone: %d", code)
+	}
+	if snap := srv.Metrics(); snap.SessionsEvicted != 1 || snap.SessionsRecovered != 0 || snap.SessionsOpen != 1 {
+		t.Fatalf("metrics %+v", snap)
+	}
+}
+
+// gatedReplayLog is a MemStore whose first Replay reads the log and
+// then waits until released before it returns.
+type gatedReplayLog struct {
+	*store.MemStore
+	calls   atomic.Int32
+	read    chan struct{} // closed once the first Replay has read the log
+	release chan struct{}
+}
+
+func (l *gatedReplayLog) Replay(ctx context.Context, id string) (*store.SessionReplay, error) {
+	rep, err := l.MemStore.Replay(ctx, id)
+	if l.calls.Add(1) == 1 {
+		close(l.read)
+		<-l.release
+	}
+	return rep, err
+}
+
+// TestSessionReplayOverlappingADeleteIsNotAdopted: a rehydration that
+// read the log before a DELETE tombstoned the session does not install
+// what it read, whether another request had rehydrated the session
+// before the DELETE or the DELETE tombstoned a log this replica never
+// replayed.
+func TestSessionReplayOverlappingADeleteIsNotAdopted(t *testing.T) {
+	for _, rehydrated := range []bool{true, false} {
+		t.Run(fmt.Sprintf("rehydrated=%v", rehydrated), func(t *testing.T) {
+			mem := store.NewMem()
+			_, first := newTestServer(t, Config{Store: mem})
+			if resp, b := postJSON(t, first.URL+"/v1/sessions?id=s", sessionSpecJSON(`{"kind": "young"}`)); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("create: %d %s", resp.StatusCode, b)
+			}
+			// A second replica over the same log, which has never seen "s"
+			// live.
+			log := &gatedReplayLog{MemStore: mem, read: make(chan struct{}), release: make(chan struct{})}
+			srv, ts := newTestServer(t, Config{Store: log})
+			var once sync.Once
+			release := func() { once.Do(func() { close(log.release) }) }
+			t.Cleanup(release)
+
+			slow := make(chan int, 1)
+			go func() {
+				resp, err := http.Get(ts.URL + "/v1/sessions/s")
+				if err != nil {
+					t.Error(err)
+					slow <- 0
+					return
+				}
+				resp.Body.Close()
+				slow <- resp.StatusCode
+			}()
+			<-log.read
+			recovered := uint64(0)
+			if rehydrated {
+				if code, _ := getSessionResponse(t, ts.URL, "s"); code != http.StatusOK {
+					t.Fatalf("rehydrating GET: %d", code)
+				}
+				recovered = 1
+			}
+			if code := deleteSession(t, ts.URL, "s"); code != http.StatusNoContent {
+				t.Fatalf("DELETE: %d", code)
+			}
+			release()
+			if code := <-slow; code != http.StatusNotFound {
+				t.Fatalf("GET whose replay read the log before the DELETE: %d", code)
+			}
+			if code, _ := getSessionResponse(t, ts.URL, "s"); code != http.StatusNotFound {
+				t.Fatalf("GET after the DELETE: %d", code)
+			}
+			if snap := srv.Metrics(); snap.SessionsRecovered != recovered || snap.SessionsOpen != 0 {
+				t.Fatalf("metrics %+v", snap)
+			}
+		})
 	}
 }

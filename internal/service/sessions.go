@@ -78,13 +78,21 @@ type sessionStats struct {
 // The store is the live (in-memory) half only; the durable half is the
 // session log it tombstones into whenever it reaps an entry, so an
 // expired or deleted session is never resurrectable by rehydration.
+// Tombstones are written after mu is released, so no session request
+// waits behind another session's log I/O. Until its tombstone is
+// durable a removed id is pending: no replay of its log starts, and
+// neither adopt nor create installs it. A replay already under way when
+// its id is removed is refused at adopt as well, so no read of the log
+// from before its tombstone is ever installed.
 type sessionStore struct {
-	mu   sync.Mutex
-	byID map[string]*liveSession
-	ttl  time.Duration
-	cap  int
-	log  store.SessionLog
-	now  func() time.Time // injectable clock for the expiry tests
+	mu      sync.Mutex
+	byID    map[string]*liveSession
+	pending map[string]struct{} // removed ids whose tombstone is not yet written
+	replays map[string]*replaying
+	ttl     time.Duration
+	cap     int
+	log     store.SessionLog
+	now     func() time.Time // injectable clock for the expiry tests
 
 	created   uint64
 	evicted   uint64
@@ -92,33 +100,66 @@ type sessionStore struct {
 	recovered uint64
 }
 
+// replaying counts the rehydrations of one id that are reading its log,
+// and records whether the id was removed while they did.
+type replaying struct {
+	n       int
+	removed bool
+}
+
 func newSessionStore(ttl time.Duration, capacity int, log store.SessionLog, clock obs.Clock) *sessionStore {
 	return &sessionStore{
-		byID: map[string]*liveSession{},
-		ttl:  ttl,
-		cap:  capacity,
-		log:  log,
-		now:  clock.Now,
+		byID:    map[string]*liveSession{},
+		pending: map[string]struct{}{},
+		replays: map[string]*replaying{},
+		ttl:     ttl,
+		cap:     capacity,
+		log:     log,
+		now:     clock.Now,
 	}
 }
 
-// reapLocked evicts one expired session: it drops the map entry and
-// tombstones the log so the session cannot come back through replay.
-// The tombstone is best-effort — eviction must proceed even when the
-// backing log is failing. Callers hold st.mu.
-func (st *sessionStore) reapLocked(ctx context.Context, id string) {
+// removeLocked drops a live entry whose log must be tombstoned, marks
+// its id pending and adds it to reaped, which the caller hands to
+// tombstone once st.mu is released. Callers hold st.mu.
+func (st *sessionStore) removeLocked(reaped []string, id string) []string {
 	delete(st.byID, id)
+	st.pending[id] = struct{}{}
+	if rp := st.replays[id]; rp != nil {
+		rp.removed = true
+	}
+	return append(reaped, id)
+}
+
+// reapLocked evicts one expired session. Callers hold st.mu.
+func (st *sessionStore) reapLocked(reaped []string, id string) []string {
 	st.evicted++
-	_ = st.log.Tombstone(ctx, id)
+	return st.removeLocked(reaped, id)
 }
 
 // sweepLocked reclaims every expired session. Callers hold st.mu.
-func (st *sessionStore) sweepLocked(ctx context.Context, now time.Time) {
+func (st *sessionStore) sweepLocked(reaped []string, now time.Time) []string {
 	for id, ls := range st.byID {
 		if now.After(ls.expires) {
-			st.reapLocked(ctx, id)
+			reaped = st.reapLocked(reaped, id)
 		}
 	}
+	return reaped
+}
+
+// tombstone writes the tombstones of removed sessions, so they cannot
+// come back through replay, and then lifts their pending mark. It
+// returns their errors; eviction ignores them, since it must proceed
+// even when the backing log is failing. Callers do not hold st.mu.
+func (st *sessionStore) tombstone(ctx context.Context, reaped []string) error {
+	var errs []error
+	for _, id := range reaped {
+		errs = append(errs, st.log.Tombstone(ctx, id))
+		st.mu.Lock()
+		delete(st.pending, id)
+		st.mu.Unlock()
+	}
+	return errors.Join(errs...)
 }
 
 // full reports whether the store is at capacity after reclaiming
@@ -126,10 +167,12 @@ func (st *sessionStore) sweepLocked(ctx context.Context, now time.Time) {
 // before paying for a spec compile. The authoritative check stays in
 // create (a racing creation can still fill the store in between).
 func (st *sessionStore) full(ctx context.Context) bool {
+	var reaped []string
+	defer func() { st.tombstone(ctx, reaped) }()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if len(st.byID) >= st.cap {
-		st.sweepLocked(ctx, st.now())
+		reaped = st.sweepLocked(reaped, st.now())
 	}
 	if len(st.byID) >= st.cap {
 		st.rejected++
@@ -143,8 +186,11 @@ func (st *sessionStore) full(ctx context.Context) bool {
 // id (replica-transparent creation, ?id=). A chosen id that is already
 // live wins the race for both creators: the existing entry is returned
 // with existed=true, mirroring the append-once semantics of the
-// durable log underneath.
+// durable log underneath. A chosen id whose tombstone is pending
+// answers store.ErrTombstoned.
 func (st *sessionStore) create(ctx context.Context, id, name, specHash string, sess *advisor.Session) (ls *liveSession, expires time.Time, existed bool, err error) {
+	var reaped []string
+	defer func() { st.tombstone(ctx, reaped) }()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	now := st.now()
@@ -153,9 +199,12 @@ func (st *sessionStore) create(ctx context.Context, id, name, specHash string, s
 			live.expires = now.Add(st.ttl)
 			return live, live.expires, true, nil
 		}
+		if _, ok := st.pending[id]; ok {
+			return nil, time.Time{}, false, store.ErrTombstoned
+		}
 	}
 	if len(st.byID) >= st.cap {
-		st.sweepLocked(ctx, now)
+		reaped = st.sweepLocked(reaped, now)
 	}
 	if len(st.byID) >= st.cap {
 		st.rejected++
@@ -184,6 +233,8 @@ func (st *sessionStore) create(ctx context.Context, id, name, specHash string, s
 // the new deadline. An expired session is reclaimed and reported
 // missing.
 func (st *sessionStore) get(ctx context.Context, id string) (*liveSession, time.Time, bool) {
+	var reaped []string
+	defer func() { st.tombstone(ctx, reaped) }()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	ls, ok := st.byID[id]
@@ -192,18 +243,53 @@ func (st *sessionStore) get(ctx context.Context, id string) (*liveSession, time.
 	}
 	now := st.now()
 	if now.After(ls.expires) {
-		st.reapLocked(ctx, id)
+		reaped = st.reapLocked(reaped, id)
 		return nil, time.Time{}, false
 	}
 	ls.expires = now.Add(st.ttl)
 	return ls, ls.expires, true
 }
 
+// beginReplay registers a rehydration of id, which replays its log and
+// then adopts the session; endReplay ends it, whatever its outcome. It
+// reports false, and registers nothing, for an id whose tombstone is
+// pending: a replay now could read the log before the tombstone lands.
+func (st *sessionStore) beginReplay(id string) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if _, ok := st.pending[id]; ok {
+		return false
+	}
+	rp := st.replays[id]
+	if rp == nil {
+		rp = &replaying{}
+		st.replays[id] = rp
+	}
+	rp.n++
+	return true
+}
+
+// endReplay ends a rehydration that beginReplay registered.
+func (st *sessionStore) endReplay(id string) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if rp := st.replays[id]; rp != nil {
+		if rp.n--; rp.n == 0 {
+			delete(st.replays, id)
+		}
+	}
+}
+
 // adopt installs a session rehydrated from the durable log under its
 // original id, sliding (or starting) its expiry window. A racing
 // rehydration of the same id wins for both: the caller gets the entry
-// that is already live.
+// that is already live. An id whose tombstone is pending, or that was
+// removed while the caller's replay was under way, answers
+// store.ErrTombstoned: the caller may have read the log before the
+// tombstone landed.
 func (st *sessionStore) adopt(ctx context.Context, id, name, specHash string, sess *advisor.Session) (*liveSession, time.Time, error) {
+	var reaped []string
+	defer func() { st.tombstone(ctx, reaped) }()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	now := st.now()
@@ -211,14 +297,20 @@ func (st *sessionStore) adopt(ctx context.Context, id, name, specHash string, se
 		if now.After(ls.expires) {
 			// The live entry expired while the caller was replaying: reap it
 			// (tombstoning the log) instead of resurrecting it.
-			st.reapLocked(ctx, id)
+			reaped = st.reapLocked(reaped, id)
 			return nil, time.Time{}, store.ErrTombstoned
 		}
 		ls.expires = now.Add(st.ttl)
 		return ls, ls.expires, nil
 	}
+	if _, ok := st.pending[id]; ok {
+		return nil, time.Time{}, store.ErrTombstoned
+	}
+	if rp := st.replays[id]; rp != nil && rp.removed {
+		return nil, time.Time{}, store.ErrTombstoned
+	}
 	if len(st.byID) >= st.cap {
-		st.sweepLocked(ctx, now)
+		reaped = st.sweepLocked(reaped, now)
 	}
 	if len(st.byID) >= st.cap {
 		st.rejected++
@@ -236,23 +328,35 @@ func (st *sessionStore) adopt(ctx context.Context, id, name, specHash string, se
 	return ls, ls.expires, nil
 }
 
-// delete removes a session and tombstones its log, reporting whether it
-// was live (expired sessions count as gone — they were tombstoned by
-// the reap).
-func (st *sessionStore) delete(ctx context.Context, id string) bool {
+// delete removes a session and tombstones its log. A session that is
+// not live here is tombstoned too: its log may exist (a restarted
+// server deleting a session it never rehydrated), and the tombstone
+// makes the delete durable without paying for a replay; its error is
+// returned, store.ErrNoSession when there is no log. An id that is gone
+// here — expired (the reap tombstones it), or removed with its
+// tombstone pending — answers store.ErrTombstoned. The tombstone of a
+// live session is best-effort, like a reap's.
+func (st *sessionStore) delete(ctx context.Context, id string) error {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	ls, ok := st.byID[id]
-	if !ok {
-		return false
+	if _, ok := st.pending[id]; ok {
+		st.mu.Unlock()
+		return store.ErrTombstoned
 	}
-	if st.now().After(ls.expires) {
-		st.reapLocked(ctx, id)
-		return false
+	ls, live := st.byID[id]
+	expired := live && st.now().After(ls.expires)
+	if expired {
+		st.evicted++
 	}
-	delete(st.byID, id)
-	_ = st.log.Tombstone(ctx, id)
-	return true
+	reaped := st.removeLocked(nil, id)
+	st.mu.Unlock()
+	err := st.tombstone(ctx, reaped)
+	switch {
+	case expired:
+		return store.ErrTombstoned
+	case live:
+		return nil
+	}
+	return err
 }
 
 // drop removes a live entry without tombstoning — the desync escape

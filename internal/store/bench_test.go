@@ -34,3 +34,22 @@ func BenchmarkFileStoreReplay(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreAppendMem is the append rung on a MemStore: the
+// store's locking without any I/O.
+func BenchmarkStoreAppendMem(b *testing.B) {
+	storetest.BenchAppend(b, func(*testing.B) store.SessionLog { return store.NewMem() })
+}
+
+// BenchmarkStoreAppendFile is the append rung on a FileStore: one
+// write and one fsync per event, on /dev/shm where it exists.
+func BenchmarkStoreAppendFile(b *testing.B) {
+	storetest.BenchAppend(b, func(b *testing.B) store.SessionLog {
+		st, err := store.Open(storetest.ShmDir(b), store.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { st.Close() })
+		return st
+	})
+}

@@ -86,6 +86,38 @@
 //
 // FileStore assumes a single process owns the directory (the service
 // holds it for the server's lifetime); it does not implement file
-// locking. Appends serialize on one mutex, fsync included — durability
-// over throughput, which is noise next to an engine evaluation.
+// locking.
+//
+// # Locks and handles
+//
+// Session logs scale with the number of sessions, not the store. Each
+// session has its own lock, and every write, fsync, replay read and
+// torn-tail truncation of its log runs under that lock alone, so a
+// session waits only for its own records. The store mutex guards the
+// session map and the handle cache and is never held across file I/O;
+// where both are held, the session lock is taken first. A third mutex
+// guards the result index, the active segment and the lease table, is
+// held across their writes and fsyncs, and is never taken together
+// with the other two.
+//
+// A session keeps its log open: the handle AppendCreated or Replay
+// opened (read-write, O_APPEND) serves its later appends and replays.
+// At most 1024 handles stay open, the service's default MaxSessions; the
+// least recently used one is closed past that, and its session's next
+// append or replay opens the log again. The operation that evicts a
+// handle closes it without waiting: a victim whose lock is held is left
+// to its holder, which files the handle again as it finishes. A handle
+// is also closed at the tombstone, after a failed write or fsync, and
+// at Close, which waits for the operations under way and refuses every
+// later one.
+//
+// The durability protocol does not change with the handles: every
+// acknowledged record is one write followed by fsync before the call
+// returns, and a create fsyncs the new file and then its directory. A
+// write or fsync that fails truncates the log back to its acknowledged
+// records, so the next append does not land after a fragment; if that
+// truncation fails as well, the session takes no append until a replay
+// has repaired its log.
+// Every session-log file call goes through one small file-system
+// interface (logFS), which tests substitute to block or fail a call.
 package store

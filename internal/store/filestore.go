@@ -1,15 +1,18 @@
 package store
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/advisor"
@@ -29,26 +32,100 @@ type Options struct {
 // DefaultSegmentBytes is the default result-segment rotation size.
 const DefaultSegmentBytes = 8 << 20
 
-// fsSession is the in-process view of one on-disk session log: whether
-// this process has opened it (AppendCreated or Replay) and whether it
-// has seen a tombstone.
+// maxHandles bounds the session-log handles a FileStore keeps open: the
+// service's default MaxSessions, so each live session of a replica
+// with default settings appends through a handle it keeps.
+const maxHandles = 1024
+
+// logFS is the file system under the session logs: every session-log
+// file call goes through it. Production uses osFS; tests substitute one
+// that blocks or fails a call.
+type logFS interface {
+	OpenFile(name string, flag int, perm fs.FileMode) (logFile, error)
+	Remove(name string) error
+	SyncDir(dir string) error
+}
+
+// logFile is an open session log.
+type logFile interface {
+	io.ReaderAt
+	io.Writer
+	Stat() (fs.FileInfo, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+type osFS struct{}
+
+func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (logFile, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osFS) Remove(name string) error { return os.Remove(name) }
+func (osFS) SyncDir(dir string) error { return syncDir(dir) }
+
+// fsSession is one session log's in-process state. Its mu serializes
+// the log's file I/O and guards f, size, open and tombstoned; the
+// store's mu guards refs and elem.
 type fsSession struct {
+	mu sync.Mutex
+	// f is the log's kept O_APPEND handle; nil until the log is opened,
+	// and again once it is tombstoned, evicted or its write failed.
+	f logFile
+	// size is the length of the log's acknowledged records, where a
+	// failed append cuts the log back to.
+	size int64
+	// open: this process created or replayed the log, so it accepts
+	// appends.
+	open       bool
 	tombstoned bool
+
+	refs int           // operations holding or waiting for mu
+	elem *list.Element // the entry's place in the handle cache
+}
+
+// dropHandle closes the kept handle. Every record written through it
+// was fsynced or answered an error, so a failed close loses nothing
+// acknowledged.
+func (s *fsSession) dropHandle() {
+	if s.f != nil {
+		_ = s.f.Close()
+		s.f = nil
+	}
 }
 
 // FileStore is the stdlib-only on-disk backend: framed-JSONL session
 // logs under dir/sessions and append-only result segments under
-// dir/results (see doc.go for the format and crash semantics). A single
-// process owns the directory for its lifetime.
+// dir/results (see doc.go for the format, the lock order and crash
+// semantics). A single process owns the directory for its lifetime.
 type FileStore struct {
 	counters
-	dir string
-	opt Options
+	dir    string
+	opt    Options
+	files  logFS
+	closed atomic.Bool
 
+	// mu guards the session map and the handle cache, and is never held
+	// across file I/O: a session's log I/O runs under its own lock,
+	// which is taken before mu.
 	mu sync.Mutex
-	// sessions tracks the logs this process has opened; appends to a
-	// session the process has never created or replayed are refused.
+	// sessions holds the logs this process has opened (appends to a
+	// session the process has never created or replayed are refused),
+	// and an entry while an operation on an unknown id is in flight.
 	sessions map[string]*fsSession
+	// handles lists the sessions that keep a handle, most recently used
+	// first, at most maxHandles of them.
+	handles *list.List
+
+	// kvMu guards the result index, the active segment and the lease
+	// table. It is held across their writes and fsyncs, and is never
+	// taken together with mu or a session lock.
+	kvMu sync.Mutex
 	// idx caches every stored result; segments are the journal, this map
 	// is the index, rebuilt from the segments at Open.
 	idx map[string][]byte
@@ -59,8 +136,7 @@ type FileStore struct {
 	activeSize int64
 	// lt is the lease table, rebuilt from dir/leases.log at Open so
 	// fencing tokens stay monotonic across a store-server restart.
-	lt     leaseTable
-	closed bool
+	lt leaseTable
 }
 
 // Open mounts (or initializes) a file store rooted at dir.
@@ -74,7 +150,9 @@ func Open(dir string, opt Options) (*FileStore, error) {
 	st := &FileStore{
 		dir:      dir,
 		opt:      opt,
+		files:    osFS{},
 		sessions: make(map[string]*fsSession),
+		handles:  list.New(),
 		idx:      make(map[string][]byte),
 		lt:       newLeaseTable(),
 	}
@@ -143,22 +221,140 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// appendDurable opens path for appending, writes line and fsyncs it.
-// The fsync — the dominant cost of every durable append, the serving
-// tier's checkpoint cost C — gets its own span.
-func appendDurable(ctx context.Context, path string, line []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
+// writeSynced writes one record and fsyncs it, the durability protocol
+// of every acknowledged record. The fsync — the dominant cost of every
+// durable append, the serving tier's checkpoint cost C — gets its own
+// span.
+func writeSynced(ctx context.Context, f logFile, line []byte) error {
 	if _, err := f.Write(line); err != nil {
 		return err
 	}
 	_, sp := obs.StartSpan(ctx, "store.fsync")
-	err = f.Sync()
+	err := f.Sync()
 	sp.End()
 	return err
+}
+
+// session runs fn under session id's lock, and only while the store is
+// open. An unknown id gets an entry when create is set (AppendCreated,
+// Replay, Tombstone) and answers ErrNoSession otherwise. Afterwards a
+// log that is not open gives up its handle, the handle cache files the
+// entry, and the handles it evicts are closed once no lock is held.
+func (st *FileStore) session(id string, create bool, fn func(s *fsSession) error) error {
+	st.mu.Lock()
+	if st.closed.Load() {
+		st.mu.Unlock()
+		return ErrClosed
+	}
+	s := st.sessions[id]
+	if s == nil {
+		if !create {
+			st.mu.Unlock()
+			return ErrNoSession
+		}
+		s = &fsSession{}
+		st.sessions[id] = s
+	}
+	s.refs++
+	st.mu.Unlock()
+
+	s.mu.Lock()
+	// Close marks the store closed before it closes the handles, each
+	// under its session's lock: checked here, no operation that waited
+	// for this lock opens a handle or acknowledges a record after Close.
+	err := ErrClosed
+	if !st.closed.Load() {
+		err = fn(s)
+	}
+	if !s.open {
+		s.dropHandle()
+	}
+	st.mu.Lock()
+	s.refs--
+	if s.refs == 0 && !s.open && !s.tombstoned {
+		delete(st.sessions, id)
+	}
+	evicted := st.fileHandleLocked(s)
+	// The session lock goes before the store lock, so an evictor that
+	// finds it held knows its holder has yet to file it (closeEvicted).
+	s.mu.Unlock()
+	st.mu.Unlock()
+	for _, v := range evicted {
+		st.closeEvicted(v)
+	}
+	return err
+}
+
+// fileHandleLocked moves a session that keeps a handle to the front of
+// the handle cache and takes one that does not out of it. It returns
+// the sessions evicted past the bound. Callers hold s.mu and st.mu.
+func (st *FileStore) fileHandleLocked(s *fsSession) []*fsSession {
+	if s.f == nil {
+		if s.elem != nil {
+			st.handles.Remove(s.elem)
+			s.elem = nil
+		}
+		return nil
+	}
+	if s.elem != nil {
+		st.handles.MoveToFront(s.elem)
+		return nil
+	}
+	s.elem = st.handles.PushFront(s)
+	var evicted []*fsSession
+	for st.handles.Len() > maxHandles {
+		v := st.handles.Remove(st.handles.Back()).(*fsSession)
+		v.elem = nil
+		evicted = append(evicted, v)
+	}
+	return evicted
+}
+
+// closeEvicted closes the handle of a session the cache evicted, unless
+// an operation has filed it again since. A victim whose lock is held is
+// left to its holder, which files it afterwards (session releases the
+// session lock before the store lock), so the evicting operation never
+// waits for another session's I/O. Callers hold no lock.
+func (st *FileStore) closeEvicted(v *fsSession) {
+	if !v.mu.TryLock() {
+		return
+	}
+	st.mu.Lock()
+	var f logFile
+	if v.elem == nil {
+		f, v.f = v.f, nil
+	}
+	v.mu.Unlock()
+	st.mu.Unlock()
+	if f != nil {
+		_ = f.Close()
+	}
+}
+
+// appendLocked appends one record to s's log, reopening the handle when
+// none is kept. A failed write or fsync cuts the log back to its
+// acknowledged records, so no fragment sits under the next append, and
+// drops the handle, so that append starts from a fresh open. When the
+// cut fails too, the log stops taking appends until a replay repairs
+// it. Callers hold s.mu.
+func (st *FileStore) appendLocked(ctx context.Context, s *fsSession, id string, line []byte) error {
+	if s.f == nil {
+		f, err := st.files.OpenFile(st.sessionPath(id), os.O_RDWR|os.O_APPEND, 0)
+		if err != nil {
+			return err
+		}
+		s.f = f
+	}
+	if err := writeSynced(ctx, s.f, line); err != nil {
+		if s.f.Truncate(s.size) != nil {
+			s.open = false
+		}
+		s.dropHandle()
+		return err
+	}
+	s.size += int64(len(line))
+	st.appends.Add(1)
+	return nil
 }
 
 func (st *FileStore) AppendCreated(ctx context.Context, id string, ss *spec.SessionSpec) error {
@@ -180,39 +376,30 @@ func (st *FileStore) AppendCreated(ctx context.Context, id string, ss *spec.Sess
 	if _, err := decodeSessionRecord(line[len(frameHeader):len(line)-1], 0); err != nil {
 		return fmt.Errorf("store: create session %s: spec does not round-trip: %w", id, err)
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
-	}
 	path := st.sessionPath(id)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if errors.Is(err, fs.ErrExist) {
-		return fmt.Errorf("store: create session %s: %w", id, ErrSessionExists)
-	}
-	if err != nil {
-		return fmt.Errorf("store: create session %s: %w", id, err)
-	}
-	if _, err = f.Write(line); err == nil {
-		_, sp := obs.StartSpan(ctx, "store.fsync")
-		err = f.Sync()
-		sp.End()
-	}
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		// The record was not acknowledged; drop the partial file so the id
-		// is not burned by a half-created log.
-		os.Remove(path)
-		return fmt.Errorf("store: create session %s: %w", id, err)
-	}
-	if err := syncDir(st.sessionsDir()); err != nil {
-		return fmt.Errorf("store: create session %s: %w", id, err)
-	}
-	st.sessions[id] = &fsSession{}
-	st.appends.Add(1)
-	return nil
+	return st.session(id, true, func(s *fsSession) error {
+		f, err := st.files.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+		if errors.Is(err, fs.ErrExist) {
+			return fmt.Errorf("store: create session %s: %w", id, ErrSessionExists)
+		}
+		if err != nil {
+			return fmt.Errorf("store: create session %s: %w", id, err)
+		}
+		if err := writeSynced(ctx, f, line); err != nil {
+			// The record was not acknowledged; drop the partial file so the
+			// id is not burned by a half-created log.
+			_ = f.Close()
+			_ = st.files.Remove(path)
+			return fmt.Errorf("store: create session %s: %w", id, err)
+		}
+		s.f, s.size = f, int64(len(line))
+		if err := st.files.SyncDir(st.sessionsDir()); err != nil {
+			return fmt.Errorf("store: create session %s: %w", id, err)
+		}
+		s.open = true
+		st.appends.Add(1)
+		return nil
+	})
 }
 
 // AppendEvent appends one event record. An event the log cannot carry
@@ -244,22 +431,18 @@ func (st *FileStore) appendOpen(ctx context.Context, id, kind string, line []byt
 	if err := validSessionID(id); err != nil {
 		return err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
-	}
-	s, ok := st.sessions[id]
-	switch {
-	case !ok:
-		return fmt.Errorf("store: append session %s: %w", id, ErrNoSession)
-	case s.tombstoned:
-		return fmt.Errorf("store: append session %s: %w", id, ErrTombstoned)
-	}
-	if err := appendDurable(ctx, st.sessionPath(id), line); err != nil {
+	err := st.session(id, false, func(s *fsSession) error {
+		switch {
+		case s.tombstoned:
+			return ErrTombstoned
+		case !s.open:
+			return ErrNoSession
+		}
+		return st.appendLocked(ctx, s, id, line)
+	})
+	if err != nil {
 		return fmt.Errorf("store: append session %s: %w", id, err)
 	}
-	st.appends.Add(1)
 	return nil
 }
 
@@ -275,30 +458,24 @@ func (st *FileStore) Tombstone(ctx context.Context, id string) error {
 	if err != nil {
 		return err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
-	}
-	// Tombstone does not require the session to be open: a restarted
-	// server may reap a session it never rehydrated. Load the log's state
-	// (repairing any torn tail) if this process has not seen it.
-	s, ok := st.sessions[id]
-	if !ok {
-		if _, _, err := st.loadSessionLocked(id); err != nil {
-			return err
+	return st.session(id, true, func(s *fsSession) error {
+		// Tombstone does not require the session to be open: a restarted
+		// server may reap a session it never rehydrated. Load the log's
+		// state (repairing any torn tail) if this process has not seen it.
+		if !s.open && !s.tombstoned {
+			if _, err := st.loadLocked(s, id); err != nil {
+				return err
+			}
 		}
-		s = st.sessions[id]
-	}
-	if s.tombstoned {
-		return fmt.Errorf("store: tombstone session %s: %w", id, ErrTombstoned)
-	}
-	if err := appendDurable(ctx, st.sessionPath(id), line); err != nil {
-		return fmt.Errorf("store: tombstone session %s: %w", id, err)
-	}
-	s.tombstoned = true
-	st.appends.Add(1)
-	return nil
+		if s.tombstoned {
+			return fmt.Errorf("store: tombstone session %s: %w", id, ErrTombstoned)
+		}
+		if err := st.appendLocked(ctx, s, id, line); err != nil {
+			return fmt.Errorf("store: tombstone session %s: %w", id, err)
+		}
+		s.open, s.tombstoned = false, true
+		return nil
+	})
 }
 
 func (st *FileStore) Replay(ctx context.Context, id string) (*SessionReplay, error) {
@@ -308,59 +485,83 @@ func (st *FileStore) Replay(ctx context.Context, id string) (*SessionReplay, err
 	if err := validSessionID(id); err != nil {
 		return nil, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return nil, ErrClosed
-	}
-	rep, tombstoned, err := st.loadSessionLocked(id)
+	var rep *SessionReplay
+	err := st.session(id, true, func(s *fsSession) error {
+		var err error
+		if !s.tombstoned {
+			rep, err = st.loadLocked(s, id)
+		}
+		if err == nil && s.tombstoned {
+			err = fmt.Errorf("store: replay session %s: %w", id, ErrTombstoned)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	if tombstoned {
-		return nil, fmt.Errorf("store: replay session %s: %w", id, ErrTombstoned)
 	}
 	st.replays.Add(1)
 	return rep, nil
 }
 
-// loadSessionLocked reads, repairs and parses one session log, caching
-// its open/tombstoned state. It returns the replay (nil when the log is
-// tombstoned) and whether a tombstone terminates it.
-func (st *FileStore) loadSessionLocked(id string) (*SessionReplay, bool, error) {
-	path := st.sessionPath(id)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, false, fmt.Errorf("store: replay session %s: %w", id, ErrNoSession)
+// loadLocked reads, repairs and parses s's log through its handle,
+// opening one when none is kept, and records whether the log is open or
+// tombstoned. It returns the replay, nil when a tombstone ends the log.
+// Callers hold s.mu.
+func (st *FileStore) loadLocked(s *fsSession, id string) (*SessionReplay, error) {
+	if s.f == nil {
+		f, err := st.files.OpenFile(st.sessionPath(id), os.O_RDWR|os.O_APPEND, 0)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("store: replay session %s: %w", id, ErrNoSession)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("store: replay session %s: %w", id, err)
+		}
+		s.f = f
 	}
+	data, err := readLog(s.f)
 	if err != nil {
-		return nil, false, fmt.Errorf("store: replay session %s: %w", id, err)
+		return nil, fmt.Errorf("store: replay session %s: %w", id, err)
 	}
 	frames, torn, err := decodeFrames(data)
 	if err != nil {
-		return nil, false, fmt.Errorf("store: replay session %s: %w", id, err)
+		return nil, fmt.Errorf("store: replay session %s: %w", id, err)
 	}
+	s.size = int64(len(data) - torn)
 	if torn > 0 {
 		// A crash mid-append left an unacknowledged fragment; truncate it
 		// away so later appends extend a clean log.
-		if err := os.Truncate(path, int64(len(data)-torn)); err != nil {
-			return nil, false, fmt.Errorf("store: repair session %s: %w", id, err)
+		if err := s.f.Truncate(s.size); err != nil {
+			return nil, fmt.Errorf("store: repair session %s: %w", id, err)
 		}
 	}
 	rep, err := replayRecords(frames)
 	switch {
 	case errors.Is(err, ErrTombstoned):
-		st.sessions[id] = &fsSession{tombstoned: true}
-		return nil, true, nil
+		s.open, s.tombstoned = false, true
+		return nil, nil
 	case errors.Is(err, ErrNoSession):
 		// The log exists but holds no acknowledged record (crash between
 		// create and first write, now repaired to empty).
-		return nil, false, fmt.Errorf("store: replay session %s: %w", id, ErrNoSession)
+		return nil, fmt.Errorf("store: replay session %s: %w", id, ErrNoSession)
 	case err != nil:
-		return nil, false, fmt.Errorf("store: replay session %s: %w", id, err)
+		return nil, fmt.Errorf("store: replay session %s: %w", id, err)
 	}
-	st.sessions[id] = &fsSession{}
-	return rep, false, nil
+	s.open = true
+	return rep, nil
+}
+
+// readLog reads a whole session log through its handle.
+func readLog(f logFile) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, fi.Size())
+	// ReadAt answers an error whenever it reads less than asked.
+	if n, err := f.ReadAt(data, 0); n < len(data) {
+		return nil, err
+	}
+	return data, nil
 }
 
 // loadSegments scans dir/results at Open: sealed segments must be
@@ -453,9 +654,9 @@ func (st *FileStore) Put(ctx context.Context, key string, val []byte) error {
 	if err != nil {
 		return err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
+	st.kvMu.Lock()
+	defer st.kvMu.Unlock()
+	if st.closed.Load() {
 		return ErrClosed
 	}
 	return st.putLineLocked(ctx, key, val, line)
@@ -463,7 +664,7 @@ func (st *FileStore) Put(ctx context.Context, key string, val []byte) error {
 
 // putLineLocked appends one already-framed result record to the active
 // segment (rotating as needed), fsyncs it and indexes the value. The
-// caller holds st.mu and has already checked closed (and, for fenced
+// caller holds st.kvMu and has already checked closed (and, for fenced
 // writes, the lease token).
 func (st *FileStore) putLineLocked(ctx context.Context, key string, val, line []byte) error {
 	if st.activeSize >= st.opt.SegmentBytes {
@@ -494,9 +695,9 @@ func (st *FileStore) putLineLocked(ctx context.Context, key string, val, line []
 }
 
 func (st *FileStore) Get(_ context.Context, key string) ([]byte, bool, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
+	st.kvMu.Lock()
+	defer st.kvMu.Unlock()
+	if st.closed.Load() {
 		return nil, false, ErrClosed
 	}
 	st.gets.Add(1)
@@ -616,7 +817,12 @@ func (st *FileStore) journalLeaseLocked(ctx context.Context, key string) error {
 	if err != nil {
 		return err
 	}
-	if err := appendDurable(ctx, st.leasesPath(), line); err != nil {
+	f, err := os.OpenFile(st.leasesPath(), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: journal lease %s: %w", key, err)
+	}
+	defer f.Close()
+	if err := writeSynced(ctx, f, line); err != nil {
 		return fmt.Errorf("store: journal lease %s: %w", key, err)
 	}
 	return nil
@@ -630,9 +836,9 @@ func (st *FileStore) AcquireLease(ctx context.Context, key, owner string, ttl ti
 	if err := validLeaseArgs(key, owner, ttl); err != nil {
 		return Lease{}, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
+	st.kvMu.Lock()
+	defer st.kvMu.Unlock()
+	if st.closed.Load() {
 		return Lease{}, ErrClosed
 	}
 	l, reclaimed, err := st.lt.acquire(key, owner, ttl, st.opt.Clock.Now())
@@ -657,9 +863,9 @@ func (st *FileStore) RenewLease(ctx context.Context, l Lease, ttl time.Duration)
 	if err := validLeaseArgs(l.Key, l.Owner, ttl); err != nil {
 		return err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
+	st.kvMu.Lock()
+	defer st.kvMu.Unlock()
+	if st.closed.Load() {
 		return ErrClosed
 	}
 	if err := st.lt.renew(l, ttl, st.opt.Clock.Now()); err != nil {
@@ -677,9 +883,9 @@ func (st *FileStore) ReleaseLease(ctx context.Context, l Lease) error {
 	defer span.End()
 	span.SetAttr("op", "release")
 	span.SetAttr("key", l.Key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
+	st.kvMu.Lock()
+	defer st.kvMu.Unlock()
+	if st.closed.Load() {
 		return ErrClosed
 	}
 	if err := st.lt.release(l); err != nil {
@@ -704,9 +910,9 @@ func (st *FileStore) PutLeased(ctx context.Context, l Lease, key string, val []b
 	if err != nil {
 		return err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
+	st.kvMu.Lock()
+	defer st.kvMu.Unlock()
+	if st.closed.Load() {
 		return ErrClosed
 	}
 	if err := st.lt.check(l); err != nil {
@@ -715,13 +921,28 @@ func (st *FileStore) PutLeased(ctx context.Context, l Lease, key string, val []b
 	return st.putLineLocked(ctx, key, val, line)
 }
 
+// Close closes every session-log handle and the active segment. An
+// operation already under way on a session finishes first; every later
+// one answers ErrClosed.
 func (st *FileStore) Close() error {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
+	if st.closed.Swap(true) {
+		st.mu.Unlock()
 		return nil
 	}
-	st.closed = true
+	sessions := make([]*fsSession, 0, len(st.sessions))
+	//chkpt:allow determinism -- the handles are closed in any order; nothing observes it
+	for _, s := range st.sessions {
+		sessions = append(sessions, s)
+	}
+	st.mu.Unlock()
+	for _, s := range sessions {
+		s.mu.Lock()
+		s.dropHandle()
+		s.mu.Unlock()
+	}
+	st.kvMu.Lock()
+	defer st.kvMu.Unlock()
 	if st.active != nil {
 		if err := st.active.Close(); err != nil {
 			return fmt.Errorf("store: close: %w", err)
