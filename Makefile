@@ -1,10 +1,12 @@
-# Development entry points. The spec goldens pin the declarative
-# experiment layer: each cmd's testdata holds a spec file (the output of
-# -dump-spec at the pinned parameters below) and the byte-exact stdout of
-# running it with -spec. CI replays them on every push; regenerate with
-# `make spec-goldens` after an intentional change. Goldens are
-# floating-point exact on amd64 (CI and the dev containers); architectures
-# that fuse multiply-adds (arm64) may differ in the last digits.
+# Development entry points. The goldens pin the experiments: each
+# experiment tool's testdata holds the byte-exact stdout of every
+# registered experiment at the pinned parameters below and, for the
+# experiments with a declarative form, the spec file -dump-spec prints,
+# whose -spec replay must print the same bytes. CI replays them on every
+# push; regenerate with `make spec-goldens` after an intentional change.
+# Goldens are floating-point exact on amd64 (CI and the dev containers);
+# architectures that fuse multiply-adds (arm64) may differ in the last
+# digits.
 
 GO ?= go
 
@@ -331,32 +333,59 @@ perfbench-smoke:
 	done; \
 	echo "perfbench smoke OK"
 
-# Pinned fixture parameters — keep in sync with cmd/chkpt-tables/main_test.go.
-TABLE2_ARGS   := -exp table2 -traces 3 -quanta 30 -seed 11 -periodlb-traces 4
-FIG5_ARGS     := -exp fig5 -traces 2 -quanta 25 -seed 5 -periodlb-traces 3
-SIM_ARGS      := -platform petascale -p 4096 -law weibull -shape 0.7 -policy dpnextfailure -quanta 60 -traces 4 -seed 9
-TRACE_ARGS    := -law weibull -mtbf 2e6 -shape 0.7 -units 8 -horizon 5e7 -downtime 60 -seed 13
+# Pinned golden parameters, one argument set per tool: chkpt-tables
+# pins the tables, chkpt-figures the figures and the extensions. Every
+# registered experiment has an output golden (testdata/<id>.golden,
+# cmd/chkpt-figures/main_test.go checks the two id lists cover the
+# registry), and every experiment with a declarative form a spec fixture
+# (testdata/<id>.json, its -dump-spec) beside it, except fig7: its spec
+# carries the 20,000 samples of its log (about 1.2 MB), so its golden
+# pins output only. Keep the arguments in sync with fixtureParams in
+# both tools' main_test.go.
+GOLDEN_TOOLS       := chkpt-tables chkpt-figures
+chkpt-tables_ARGS  := -traces 3 -quanta 30 -seed 11 -periodlb-traces 4
+chkpt-tables_IDS   := table2 table3 table4 spares
+chkpt-figures_ARGS := -traces 2 -quanta 25 -seed 5 -periodlb-traces 3
+chkpt-figures_IDS  := fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig98 fig99 fig100 \
+	figA-period-exp figA-period-weibull figB-matrix replication ablation-dpnf optimal-p
+NO_SPEC_FIXTURE    := fig7
+SIM_ARGS           := -platform petascale -p 4096 -law weibull -shape 0.7 -policy dpnextfailure -quanta 60 -traces 4 -seed 9
+TRACE_ARGS         := -law weibull -mtbf 2e6 -shape 0.7 -units 8 -horizon 5e7 -downtime 60 -seed 13
+
+# Both targets build the tools once into a temporary directory.
+GOLDEN_BUILD = bin=$$(mktemp -d); trap 'rm -rf $$bin' EXIT; \
+	$(GO) build -o $$bin/ $(GOLDEN_TOOLS:%=./cmd/%) ./cmd/chkpt-sim ./cmd/chkpt-traces
 
 spec-goldens:
-	$(GO) run ./cmd/chkpt-tables $(TABLE2_ARGS) -dump-spec > cmd/chkpt-tables/testdata/table2.json
-	$(GO) run ./cmd/chkpt-tables -spec cmd/chkpt-tables/testdata/table2.json 2>/dev/null > cmd/chkpt-tables/testdata/table2.golden
-	$(GO) run ./cmd/chkpt-figures $(FIG5_ARGS) -dump-spec > cmd/chkpt-figures/testdata/fig5.json
-	$(GO) run ./cmd/chkpt-figures -spec cmd/chkpt-figures/testdata/fig5.json 2>/dev/null > cmd/chkpt-figures/testdata/fig5.golden
-	$(GO) run ./cmd/chkpt-sim $(SIM_ARGS) -dump-spec > cmd/chkpt-sim/testdata/run.json
-	$(GO) run ./cmd/chkpt-sim -spec cmd/chkpt-sim/testdata/run.json > cmd/chkpt-sim/testdata/run.golden
-	$(GO) run ./cmd/chkpt-traces gen-trace $(TRACE_ARGS) -dump-spec > cmd/chkpt-traces/testdata/trace.json
-	$(GO) run ./cmd/chkpt-traces gen-trace -spec cmd/chkpt-traces/testdata/trace.json 2>/dev/null > cmd/chkpt-traces/testdata/trace.golden
+	@set -e; $(GOLDEN_BUILD); \
+	$(foreach t,$(GOLDEN_TOOLS),for id in $($(t)_IDS); do \
+	  out=cmd/$(t)/testdata/$$id; echo "$(t) $$id"; \
+	  $$bin/$(t) $($(t)_ARGS) -exp $$id 2>/dev/null > $$out.golden; \
+	  rm -f $$out.json; \
+	  if [ "$$id" != $(NO_SPEC_FIXTURE) ]; then \
+	    $$bin/$(t) $($(t)_ARGS) -exp $$id -dump-spec > $$out.json 2>/dev/null || rm -f $$out.json; \
+	  fi; \
+	done;) \
+	$$bin/chkpt-sim $(SIM_ARGS) -dump-spec > cmd/chkpt-sim/testdata/run.json; \
+	$$bin/chkpt-sim -spec cmd/chkpt-sim/testdata/run.json > cmd/chkpt-sim/testdata/run.golden; \
+	$$bin/chkpt-traces gen-trace $(TRACE_ARGS) -dump-spec > cmd/chkpt-traces/testdata/trace.json; \
+	$$bin/chkpt-traces gen-trace -spec cmd/chkpt-traces/testdata/trace.json 2>/dev/null > cmd/chkpt-traces/testdata/trace.golden
 
-# Replay every checked-in spec fixture and diff against its golden; for
-# chkpt-tables also prove the flag-driven invocation matches the
-# spec-driven one byte-for-byte (the declarative-API contract).
+# Diff the flag-driven output of every pinned id against its golden, and
+# replay every checked-in spec fixture against the same golden: the
+# declarative-API contract that a dumped spec prints what the flags do.
 spec-golden-check:
-	$(GO) run ./cmd/chkpt-tables -spec cmd/chkpt-tables/testdata/table2.json 2>/dev/null | diff cmd/chkpt-tables/testdata/table2.golden -
-	$(GO) run ./cmd/chkpt-tables $(TABLE2_ARGS) 2>/dev/null | diff cmd/chkpt-tables/testdata/table2.golden -
-	$(GO) run ./cmd/chkpt-figures -spec cmd/chkpt-figures/testdata/fig5.json 2>/dev/null | diff cmd/chkpt-figures/testdata/fig5.golden -
-	$(GO) run ./cmd/chkpt-figures $(FIG5_ARGS) 2>/dev/null | diff cmd/chkpt-figures/testdata/fig5.golden -
-	$(GO) run ./cmd/chkpt-sim -spec cmd/chkpt-sim/testdata/run.json | diff cmd/chkpt-sim/testdata/run.golden -
-	$(GO) run ./cmd/chkpt-sim $(SIM_ARGS) | diff cmd/chkpt-sim/testdata/run.golden -
-	$(GO) run ./cmd/chkpt-traces gen-trace -spec cmd/chkpt-traces/testdata/trace.json 2>/dev/null | diff cmd/chkpt-traces/testdata/trace.golden -
-	$(GO) run ./cmd/chkpt-traces gen-trace $(TRACE_ARGS) 2>/dev/null | diff cmd/chkpt-traces/testdata/trace.golden -
-	@echo "spec goldens OK"
+	@set -e; $(GOLDEN_BUILD); \
+	$(foreach t,$(GOLDEN_TOOLS),for id in $($(t)_IDS); do \
+	  echo "$(t) -exp $$id"; \
+	  $$bin/$(t) $($(t)_ARGS) -exp $$id 2>/dev/null | diff cmd/$(t)/testdata/$$id.golden -; \
+	done; \
+	for fixture in cmd/$(t)/testdata/*.json; do \
+	  echo "$(t) -spec $$fixture"; \
+	  $$bin/$(t) -spec $$fixture 2>/dev/null | diff $${fixture%.json}.golden -; \
+	done;) \
+	$$bin/chkpt-sim -spec cmd/chkpt-sim/testdata/run.json | diff cmd/chkpt-sim/testdata/run.golden -; \
+	$$bin/chkpt-sim $(SIM_ARGS) | diff cmd/chkpt-sim/testdata/run.golden -; \
+	$$bin/chkpt-traces gen-trace -spec cmd/chkpt-traces/testdata/trace.json 2>/dev/null | diff cmd/chkpt-traces/testdata/trace.golden -; \
+	$$bin/chkpt-traces gen-trace $(TRACE_ARGS) 2>/dev/null | diff cmd/chkpt-traces/testdata/trace.golden -; \
+	echo "spec goldens OK"
