@@ -396,8 +396,6 @@ type (
 	Work = platform.Work
 	// Scenario is one experimental configuration.
 	Scenario = harness.Scenario
-	// CandidateConfig tunes the standard policy set.
-	CandidateConfig = harness.CandidateConfig
 	// Candidate is one policy entered into an evaluation.
 	Candidate = harness.Candidate
 	// Evaluation aggregates degradation-from-best results.
@@ -426,19 +424,20 @@ func PetascalePlatform(mtbfYears float64) PlatformSpec { return platform.Petasca
 func ExascalePlatform() PlatformSpec                   { return platform.Exascale() }
 func LANLNodesPlatform(nodeMTBF float64) PlatformSpec  { return platform.LANLNodes(nodeMTBF) }
 
-// DefaultCandidateConfig mirrors the paper's §4.1 policy list.
-func DefaultCandidateConfig() CandidateConfig { return harness.DefaultCandidateConfig() }
-
-// StandardCandidates builds the paper's policy set for a scenario.
-func StandardCandidates(ctx context.Context, sc Scenario, cfg CandidateConfig) ([]Candidate, error) {
-	return harness.StandardCandidates(ctx, sc, cfg)
+// StandardCandidates builds the paper's §4.1 policy set for a scenario
+// from the registered policy kinds, with the paper's skip rules. Shared
+// planning structures (DPMakespan tables, DPNextFailure planners) come
+// from the engine's cache.
+func StandardCandidates(ctx context.Context, eng *Engine, sc Scenario, std StandardSpec) ([]Candidate, error) {
+	return std.Build(ctx, eng, sc)
 }
 
 // Evaluate runs every candidate over the scenario's traces with the §4.1
-// degradation-from-best methodology. Cancelling the context aborts the
-// evaluation promptly with ctx.Err().
-func Evaluate(ctx context.Context, sc Scenario, cands []Candidate) (*Evaluation, error) {
-	return harness.Evaluate(ctx, sc, cands)
+// degradation-from-best methodology, on the engine's worker pool (the
+// worker count never changes the result). Cancelling the context aborts
+// the evaluation promptly with ctx.Err().
+func Evaluate(ctx context.Context, eng *Engine, sc Scenario, cands []Candidate) (*Evaluation, error) {
+	return harness.Evaluate(ctx, eng, sc, cands)
 }
 
 // Experiment engine: the bounded worker pool and shared artifact cache
@@ -575,24 +574,10 @@ func EvaluateSpec(ctx context.Context, eng *Engine, es *ExperimentSpec) (CellRes
 // exactly when they decode to the same experiment.
 func CanonicalSpecHash(es *ExperimentSpec) (string, error) { return spec.CanonicalHash(es) }
 
-// EvaluateWith runs the evaluation on the given engine: traces execute
-// concurrently on its worker pool and shared artifacts come from its
-// cache. The worker count never changes the result.
-func EvaluateWith(ctx context.Context, eng *Engine, sc Scenario, cands []Candidate) (*Evaluation, error) {
-	return harness.EvaluateWith(ctx, eng, sc, cands)
-}
-
-// StandardCandidatesWith builds the paper's policy set through the
-// engine's cache, sharing DPMakespan tables and DPNextFailure planners
-// across scenarios with the same (law, job geometry, quanta) key.
-func StandardCandidatesWith(ctx context.Context, eng *Engine, sc Scenario, cfg CandidateConfig) ([]Candidate, error) {
-	return harness.StandardCandidatesWith(ctx, eng, sc, cfg)
-}
-
 // SearchPeriodLB finds the best fixed checkpointing period for the
 // scenario by the §4.1 numerical search, on the engine's worker pool.
 func SearchPeriodLB(ctx context.Context, eng *Engine, sc Scenario, cfg PeriodLBConfig) (float64, error) {
-	return harness.SearchPeriodLBWith(ctx, eng, sc, cfg)
+	return harness.SearchPeriodLB(ctx, eng, sc, cfg)
 }
 
 // DefaultPeriodLBConfig returns the laptop-scale period-search grid.

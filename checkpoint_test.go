@@ -85,13 +85,13 @@ func TestPublicEvaluate(t *testing.T) {
 		Work:     checkpoint.Work{Model: checkpoint.WorkEmbarrassing},
 		Horizon:  1e8, Traces: 8, Seed: 3,
 	}
-	cfg := checkpoint.DefaultCandidateConfig()
-	cfg.DPNextFailureQuanta = 40
-	cands, err := checkpoint.StandardCandidates(context.Background(), sc, cfg)
+	eng := checkpoint.DefaultEngine()
+	std := checkpoint.StandardSpec{DPNextFailureQuanta: 40, IncludeLiu: true, IncludeBouguerra: true}
+	cands, err := checkpoint.StandardCandidates(context.Background(), eng, sc, std)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := checkpoint.Evaluate(context.Background(), sc, cands)
+	ev, err := checkpoint.Evaluate(context.Background(), eng, sc, cands)
 	if err != nil {
 		t.Fatal(err)
 	}

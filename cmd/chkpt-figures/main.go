@@ -2,17 +2,22 @@
 // figures (Figure 1 through the appendix sweeps) as aligned text tables
 // and optional CSV.
 //
-// Figures with a declarative form (fig5) can be dumped with -dump-spec
-// and replayed byte-identically with -spec; any experiment spec file runs
-// through -spec. Timings go to stderr, so stdout is deterministic.
+// The figures with a declarative form — fig2, fig3, fig4, fig5, fig6,
+// fig7 — and the ablation-dpnf extension can be dumped with -dump-spec
+// and replayed byte-identically with -spec; any experiment spec file
+// runs through -spec. fig7's spec carries the 20,000 samples of its
+// availability log (100,000 with -full), so its dump is about 1.2 MB.
+// The other figures render their cells with table code of their own and
+// have no dump. Timings go to stderr, so stdout is deterministic.
 //
 // Examples:
 //
 //	chkpt-figures -list
 //	chkpt-figures -exp fig4
 //	chkpt-figures -exp fig2,fig4,fig7 -csv
-//	chkpt-figures -exp fig5 -dump-spec > fig5.json
-//	chkpt-figures -spec fig5.json
+//	chkpt-figures -exp fig4 -dump-spec > fig4.json
+//	chkpt-figures -spec fig4.json
+//	chkpt-figures -exp ablation-dpnf
 package main
 
 import (

@@ -35,10 +35,7 @@ func TestSpecFixtureInSync(t *testing.T) {
 	if !ok || e.Spec == nil {
 		t.Fatal("table2 is not a spec-expressible experiment")
 	}
-	es, err := e.Spec(fixtureParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	es := e.Spec(fixtureParams())
 	if es.Title == "" {
 		es.Title = e.Title // the -dump-spec fixup
 	}

@@ -97,28 +97,31 @@ func ExampleNewEngine() {
 		Traces:   4,
 		Seed:     1,
 	}
-	cfg := checkpoint.DefaultCandidateConfig()
-	cfg.DPNextFailureQuanta = 40 // keep the example fast
+	std := checkpoint.StandardSpec{
+		DPNextFailureQuanta: 40, // keep the example fast
+		IncludeLiu:          true,
+		IncludeBouguerra:    true,
+	}
 
 	cache := checkpoint.NewCache(0)
 	sequential := checkpoint.NewEngine(checkpoint.EngineConfig{Workers: 1, Cache: cache})
 	parallel := checkpoint.NewEngine(checkpoint.EngineConfig{Workers: 4, Cache: cache})
 
-	cands, err := checkpoint.StandardCandidatesWith(context.Background(), sequential, sc, cfg)
+	cands, err := checkpoint.StandardCandidates(context.Background(), sequential, sc, std)
 	if err != nil {
 		panic(err)
 	}
-	ev1, err := checkpoint.EvaluateWith(context.Background(), sequential, sc, cands)
+	ev1, err := checkpoint.Evaluate(context.Background(), sequential, sc, cands)
 	if err != nil {
 		panic(err)
 	}
 	// The second candidate set takes the DPNextFailure planner, with its
 	// memoized first plan, from the shared cache.
-	cands, err = checkpoint.StandardCandidatesWith(context.Background(), parallel, sc, cfg)
+	cands, err = checkpoint.StandardCandidates(context.Background(), parallel, sc, std)
 	if err != nil {
 		panic(err)
 	}
-	ev2, err := checkpoint.EvaluateWith(context.Background(), parallel, sc, cands)
+	ev2, err := checkpoint.Evaluate(context.Background(), parallel, sc, cands)
 	if err != nil {
 		panic(err)
 	}

@@ -30,14 +30,15 @@ func main() {
 		Seed:     2024,
 	}
 
-	cfg := checkpoint.DefaultCandidateConfig()
-	cfg.DPNextFailureQuanta = 120
-
-	cands, err := checkpoint.StandardCandidates(ctx, sc, cfg)
+	// The §4.1 policy set; DPMakespan is left out, as the paper drops it
+	// for Weibull parallel jobs.
+	std := checkpoint.StandardSpec{DPNextFailureQuanta: 120, IncludeLiu: true, IncludeBouguerra: true}
+	eng := checkpoint.DefaultEngine()
+	cands, err := checkpoint.StandardCandidates(ctx, eng, sc, std)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ev, err := checkpoint.Evaluate(ctx, sc, cands)
+	ev, err := checkpoint.Evaluate(ctx, eng, sc, cands)
 	if err != nil {
 		log.Fatal(err)
 	}

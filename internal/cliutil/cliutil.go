@@ -269,10 +269,7 @@ func RunExperiments(ctx context.Context, w io.Writer, tool string, ids []string,
 				return fmt.Errorf("experiment %q has no declarative spec (spec-expressible: %s)",
 					id, strings.Join(specExpressibleIDs(), ", "))
 			}
-			es, err := e.Spec(p)
-			if err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
+			es := e.Spec(p)
 			if es.Title == "" {
 				es.Title = e.Title
 			}

@@ -4,10 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
-	"repro/internal/dist"
 	"repro/internal/harness"
 	"repro/internal/platform"
+	"repro/internal/spec"
 )
 
 func init() {
@@ -33,7 +34,9 @@ func init() {
 }
 
 // runPeriodSweepSingleProc reproduces the Appendix A figures: degradation
-// of fixed periods OptExp*2^f as f sweeps [-4, 4], for the three MTBFs.
+// of fixed periods OptExp*2^f as f sweeps [-4, 4], for the hour and day
+// MTBFs. Each MTBF is one cell: the standard set, which defines the
+// per-trace reference, plus one "period" policy per factor.
 func runPeriodSweepSingleProc(ctx context.Context, w io.Writer, p Params, weibull bool) error {
 	var factors []float64
 	if p.Full {
@@ -45,18 +48,45 @@ func runPeriodSweepSingleProc(ctx context.Context, w io.Writer, p Params, weibul
 	}
 	traces := p.traces(20, 600)
 	for _, mtbf := range []float64{platform.Hour, platform.Day} {
-		sc := singleProcScenario(mtbf, weibull, traces, p.seed())
-		cfg := harness.DefaultCandidateConfig()
-		cfg.DPNextFailureQuanta = p.quantaOr(60, 150)
-		cfg.DPMakespanQuanta = p.quantaOr(600, 1200)
-		points, ev, err := harness.PeriodVariationWith(ctx, p.engine(), sc, cfg, factors)
+		cell := singleProcCellSpec(mtbf, weibull, traces, p.seed())
+		sc, err := cell.Compile()
 		if err != nil {
 			return err
 		}
+		d, err := sc.Derive()
+		if err != nil {
+			return err
+		}
+		base, err := harness.BasePeriod(d)
+		if err != nil {
+			return err
+		}
+		cands := spec.CandidatesSpec{Standard: &spec.StandardSpec{
+			DPNextFailureQuanta: p.quantaOr(60, 150),
+			DPMakespanQuanta:    p.quantaOr(600, 1200),
+			IncludeLiu:          true,
+			IncludeBouguerra:    true,
+		}}
+		for _, f := range factors {
+			cands.Policies = append(cands.Policies, spec.PolicySpec{
+				Kind:   "period",
+				Name:   fmt.Sprintf("PeriodVar[%+.2f]", f),
+				Period: math.Min(base*math.Pow(2, f), d.WorkP),
+			})
+		}
+		results, err := spec.RunAll(ctx, p.engine(), &spec.ExperimentSpec{
+			Name:       cell.Name,
+			Cells:      []spec.ScenarioSpec{cell},
+			Candidates: cands,
+		})
+		if err != nil {
+			return err
+		}
+		ev := results[0].Eval
 		sweep := harness.Series{Label: "PeriodVariation"}
-		for _, pt := range points {
-			sweep.X = append(sweep.X, pt.Log2Factor)
-			sweep.Y = append(sweep.Y, pt.Degradation.Mean)
+		for i, f := range factors {
+			sweep.X = append(sweep.X, f)
+			sweep.Y = append(sweep.Y, ev.Degradation[cands.Policies[i].Name].Mean)
 		}
 		// Reference lines: flat series at each fixed heuristic's level.
 		var series []harness.Series
@@ -93,61 +123,64 @@ func runPeriodSweepSingleProc(ctx context.Context, w io.Writer, p Params, weibul
 // appendix figures' content (each figure is one cell's processor sweep;
 // the paper's stated conclusion is that all cells tell the same story).
 func runAppendixMatrix(ctx context.Context, w io.Writer, p Params) error {
-	spec := platform.Petascale(125)
+	plat := platform.Petascale(125)
 	procs := p.pick(1<<12, 45208)
 	traces := p.traces(6, 600)
 	laws := []struct {
 		name string
-		d    dist.Distribution
+		d    spec.DistSpec
 	}{
-		{"Exponential", dist.NewExponentialMean(spec.MTBF)},
-		{"Weibull(0.7)", dist.WeibullFromMeanShape(spec.MTBF, 0.7)},
+		{"Exponential", spec.DistSpec{Family: "exponential"}},
+		{"Weibull(0.7)", spec.DistSpec{Family: "weibull", Shape: 0.7}},
 	}
 	overheads := []platform.Overhead{platform.OverheadConstant, platform.OverheadProportional}
+	es := &spec.ExperimentSpec{
+		Name: "figB-matrix",
+		Candidates: spec.CandidatesSpec{Standard: &spec.StandardSpec{
+			DPNextFailureQuanta: p.quantaOr(80, 200),
+			IncludeBouguerra:    true,
+		}},
+	}
+	var labels [][]string
+	for _, law := range laws {
+		for _, wk := range workModels() {
+			ws := spec.EncodeWork(wk)
+			for _, ov := range overheads {
+				labels = append(labels, []string{law.name, wk.String(), ov.String()})
+				es.Cells = append(es.Cells, spec.ScenarioSpec{
+					Name:     fmt.Sprintf("matrix-%s-%s-%s", law.name, wk, ov),
+					Platform: spec.PlatformRef{Preset: "petascale"},
+					P:        procs,
+					Dist:     law.d,
+					Overhead: ov.String(),
+					Work:     &ws,
+					Horizon:  11*platform.Year + 8*wk.Time(plat.W, procs),
+					Start:    platform.Year,
+					Traces:   traces,
+					Seed:     p.seed(),
+				})
+			}
+		}
+	}
+	results, err := spec.RunAll(ctx, p.engine(), es)
+	if err != nil {
+		return err
+	}
 	tab := &harness.Table{
 		Title: fmt.Sprintf("Appendix B/C matrix at p=%d (%d traces/cell): avg degradation from best",
 			procs, traces),
 		Header: []string{"law", "work model", "overheads", "Young", "DalyHigh", "OptExp", "Bouguerra", "DPNextFailure"},
 	}
-	for _, law := range laws {
-		for _, wk := range workModels() {
-			for _, ov := range overheads {
-				sc := harness.Scenario{
-					Name:     fmt.Sprintf("matrix-%s-%s-%s", law.name, wk, ov),
-					Spec:     spec,
-					P:        procs,
-					Dist:     law.d,
-					Overhead: ov,
-					Work:     wk,
-					Horizon:  11*platform.Year + 8*wk.Time(spec.W, procs),
-					Start:    platform.Year,
-					Traces:   traces,
-					Seed:     p.seed(),
-				}
-				cfg := harness.DefaultCandidateConfig()
-				cfg.DPNextFailureQuanta = p.quantaOr(80, 200)
-				cfg.IncludeLiu = false
-				cands, err := harness.StandardCandidatesWith(ctx, p.engine(), sc, cfg)
-				if err != nil {
-					return err
-				}
-				ev, err := harness.EvaluateWith(ctx, p.engine(), sc, cands)
-				if err != nil {
-					return err
-				}
-				cell := func(name string) string {
-					if d, ok := ev.Degradation[name]; ok {
-						return fmt.Sprintf("%.4f", d.Mean)
-					}
-					return "n/a"
-				}
-				tab.Rows = append(tab.Rows, []string{
-					law.name, wk.String(), ov.String(),
-					cell("Young"), cell("DalyHigh"), cell("OptExp"),
-					cell("Bouguerra"), cell("DPNextFailure"),
-				})
+	for i, res := range results {
+		row := labels[i]
+		for _, name := range tab.Header[3:] {
+			cell := "n/a"
+			if d, ok := res.Eval.Degradation[name]; ok {
+				cell = fmt.Sprintf("%.4f", d.Mean)
 			}
+			row = append(row, cell)
 		}
+		tab.Rows = append(tab.Rows, row)
 	}
 	return emit(w, p, tab)
 }

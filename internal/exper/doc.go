@@ -31,9 +31,19 @@
 // count.
 //
 // Experiment.Run takes a context.Context that cancels mid-experiment
-// (the cmd tools wire SIGINT/SIGTERM to it). Experiments that are fully
-// declarative — the tables and fig5 — also register a Spec builder: their
-// Run compiles the spec and executes it through RunSpec, which is the
-// same path the cmd tools' -spec files take, so a dumped spec reproduces
-// the flag-driven output byte-for-byte.
+// (the cmd tools wire SIGINT/SIGTERM to it).
+//
+// Every comparison of a candidate set runs as spec cells (repro/internal/
+// spec), the one path of the §4.1 methodology. The experiments whose
+// output is one spec's rendering are declarative — table2/3/4, spares,
+// fig2-fig7 and ablation-dpnf: each registers a Spec builder, register
+// derives Run from it (RunSpec), and the cmd tools' -dump-spec prints
+// the same spec, so a dumped spec replayed with -spec prints the
+// flag-driven bytes. fig98/99, fig100 and the appendix sweeps build
+// their cells as specs too, but render them with table code of their
+// own (a makespan pivot, two logs in a row, reference lines, a matrix),
+// so they register Run only. fig1, replication and optimal-p compare no
+// candidate set (closed forms, a replicated simulator run, one policy
+// over a processor grid), so they call the theory and the simulator
+// directly.
 package exper

@@ -82,11 +82,12 @@ type Experiment struct {
 	Title string
 	Run   func(ctx context.Context, w io.Writer, p Params) error
 	// Spec, when non-nil, returns the declarative form of the experiment
-	// at the given parameters: running it through RunSpec produces
-	// byte-identical output to Run. The cmd tools print it with
-	// -dump-spec; experiments with bespoke renderings (most figures)
-	// leave it nil.
-	Spec func(p Params) (*spec.ExperimentSpec, error)
+	// at the given parameters, and register derives Run from it: Run
+	// executes the spec through RunSpec. The cmd tools print it with
+	// -dump-spec, so a dumped spec replayed with -spec prints the
+	// flag-driven bytes. Experiments whose output is not one spec's
+	// rendering leave it nil and set Run.
+	Spec func(p Params) *spec.ExperimentSpec
 }
 
 var registry = map[string]Experiment{}
@@ -97,6 +98,11 @@ func register(e Experiment) {
 		panic(fmt.Sprintf("exper: duplicate experiment id %q", e.ID))
 	}
 	run := e.Run
+	if build := e.Spec; build != nil {
+		run = func(ctx context.Context, w io.Writer, p Params) error {
+			return RunSpec(ctx, w, p, build(p))
+		}
+	}
 	e.Run = func(ctx context.Context, w io.Writer, p Params) error {
 		p.Engine = p.engine().Scope()
 		return run(ctx, w, p)

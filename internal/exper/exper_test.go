@@ -3,8 +3,12 @@ package exper
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/spec"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -25,6 +29,37 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if len(IDs()) != len(All()) {
 		t.Error("IDs/All length mismatch")
+	}
+}
+
+// TestSpecsRoundTrip: every declarative experiment's spec survives the
+// canonical encoding unchanged, so the spec a tool dumps replays exactly
+// what its flags run. It also pins which experiments are declarative.
+func TestSpecsRoundTrip(t *testing.T) {
+	var declarative []string
+	for _, e := range All() {
+		if e.Spec == nil {
+			continue
+		}
+		declarative = append(declarative, e.ID)
+		es := e.Spec(tiny())
+		var buf bytes.Buffer
+		if err := spec.EncodeExperiment(&buf, es); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		got, err := spec.DecodeExperiment(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if !reflect.DeepEqual(got, es) {
+			t.Errorf("%s: the spec changed in an encode/decode round trip", e.ID)
+		}
+	}
+	want := []string{"table2", "table3", "table4", "spares", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "ablation-dpnf"}
+	slices.Sort(declarative)
+	slices.Sort(want)
+	if !slices.Equal(declarative, want) {
+		t.Errorf("declarative experiments = %v, want %v", declarative, want)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 func init() {
@@ -22,7 +23,7 @@ func init() {
 	register(Experiment{
 		ID:    "ablation-dpnf",
 		Title: "Ablation: DPNextFailure resolution and §3.3 state-approximation sizes",
-		Run:   runDPNFAblation,
+		Spec:  dpnfAblationSpec,
 	})
 	register(Experiment{
 		ID:    "optimal-p",
@@ -228,50 +229,26 @@ func replicationPoint(ctx context.Context, spec platform.Spec, law dist.Distribu
 	return sumWhole / float64(traces), sumRepl / float64(traces), nil
 }
 
-// runDPNFAblation quantifies the two DPNextFailure design choices
+// dpnfAblationSpec quantifies the two DPNextFailure design choices
 // DESIGN.md calls out: the DP resolution (quanta) and the §3.3 state
-// approximation sizes, on the Table 4 scenario.
-func runDPNFAblation(ctx context.Context, w io.Writer, p Params) error {
-	sc := table4Scenario(p.traces(8, 100), p.seed())
-	d, err := sc.Derive()
-	if err != nil {
-		return err
+// approximation sizes, as named dpnextfailure policies on the Table 4
+// scenario.
+func dpnfAblationSpec(p Params) *spec.ExperimentSpec {
+	traces := p.traces(8, 100)
+	title := fmt.Sprintf("DPNextFailure ablation on the Table 4 scenario (%d traces)", traces)
+	dpnf := func(name string, quanta, nExact, nApprox int) spec.PolicySpec {
+		return spec.PolicySpec{Kind: "dpnextfailure", Name: name, Quanta: quanta, NExact: nExact, NApprox: nApprox}
 	}
-	variants := []struct {
-		label string
-		mk    func() sim.Policy
-	}{
-		{"quanta=50", func() sim.Policy {
-			return policy.NewDPNextFailure(sc.Dist, d.UnitMean, policy.WithQuanta(50))
-		}},
-		{"quanta=100", func() sim.Policy {
-			return policy.NewDPNextFailure(sc.Dist, d.UnitMean, policy.WithQuanta(100))
-		}},
-		{"quanta=200", func() sim.Policy {
-			return policy.NewDPNextFailure(sc.Dist, d.UnitMean, policy.WithQuanta(200))
-		}},
-		{"approx 10/100 (paper)", func() sim.Policy {
-			return policy.NewDPNextFailure(sc.Dist, d.UnitMean, policy.WithQuanta(100), policy.WithStateApprox(10, 100))
-		}},
-		{"approx 2/10 (coarse)", func() sim.Policy {
-			return policy.NewDPNextFailure(sc.Dist, d.UnitMean, policy.WithQuanta(100), policy.WithStateApprox(2, 10))
-		}},
-		{"approx 50/400 (fine)", func() sim.Policy {
-			return policy.NewDPNextFailure(sc.Dist, d.UnitMean, policy.WithQuanta(100), policy.WithStateApprox(50, 400))
+	return &spec.ExperimentSpec{
+		Name:  "ablation-dpnf",
+		Cells: []spec.ScenarioSpec{table4ScenarioSpec("table4", title, traces, p.seed())},
+		Candidates: spec.CandidatesSpec{Policies: []spec.PolicySpec{
+			dpnf("quanta=50", 50, 0, 0),
+			dpnf("quanta=100", 100, 0, 0),
+			dpnf("quanta=200", 200, 0, 0),
+			dpnf("approx 10/100 (paper)", 100, 10, 100),
+			dpnf("approx 2/10 (coarse)", 100, 2, 10),
+			dpnf("approx 50/400 (fine)", 100, 50, 400),
 		}},
 	}
-	cands := make([]harness.Candidate, 0, len(variants))
-	for _, v := range variants {
-		mk := v.mk
-		cands = append(cands, harness.Candidate{
-			Name: v.label,
-			New:  func() (sim.Policy, error) { return mk(), nil },
-		})
-	}
-	ev, err := harness.EvaluateWith(ctx, p.engine(), sc, cands)
-	if err != nil {
-		return err
-	}
-	return emit(w, p, harness.DegradationTable(
-		fmt.Sprintf("DPNextFailure ablation on the Table 4 scenario (%d traces)", sc.Traces), ev))
 }

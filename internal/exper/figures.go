@@ -22,38 +22,27 @@ func init() {
 	register(Experiment{
 		ID:    "fig2",
 		Title: "Figure 2: Petascale platform, Exponential failures, degradation vs processors",
-		Run: func(ctx context.Context, w io.Writer, p Params) error {
-			return runPlatformFigure(ctx, w, p, platformFigure{petascale: true, weibullShape: 0})
-		},
+		Spec:  func(p Params) *spec.ExperimentSpec { return platformFigureSpec(p, "fig2", true, 0) },
 	})
 	register(Experiment{
 		ID:    "fig3",
 		Title: "Figure 3: Exascale platform, Exponential failures, degradation vs processors",
-		Run: func(ctx context.Context, w io.Writer, p Params) error {
-			return runPlatformFigure(ctx, w, p, platformFigure{petascale: false, weibullShape: 0})
-		},
+		Spec:  func(p Params) *spec.ExperimentSpec { return platformFigureSpec(p, "fig3", false, 0) },
 	})
 	register(Experiment{
 		ID:    "fig4",
 		Title: "Figure 4: Petascale platform, Weibull (k=0.7) failures, degradation vs processors",
-		Run: func(ctx context.Context, w io.Writer, p Params) error {
-			return runPlatformFigure(ctx, w, p, platformFigure{petascale: true, weibullShape: 0.7})
-		},
+		Spec:  func(p Params) *spec.ExperimentSpec { return platformFigureSpec(p, "fig4", true, 0.7) },
 	})
 	register(Experiment{
 		ID:    "fig5",
 		Title: "Figure 5: degradation vs Weibull shape parameter k on 45,208 processors",
-		Spec:  func(p Params) (*spec.ExperimentSpec, error) { return fig5Spec(p), nil },
-		Run: func(ctx context.Context, w io.Writer, p Params) error {
-			return RunSpec(ctx, w, p, fig5Spec(p))
-		},
+		Spec:  fig5Spec,
 	})
 	register(Experiment{
 		ID:    "fig6",
 		Title: "Figure 6: Exascale platform, Weibull (k=0.7) failures, degradation vs processors",
-		Run: func(ctx context.Context, w io.Writer, p Params) error {
-			return runPlatformFigure(ctx, w, p, platformFigure{petascale: false, weibullShape: 0.7})
-		},
+		Spec:  func(p Params) *spec.ExperimentSpec { return platformFigureSpec(p, "fig6", false, 0.7) },
 	})
 	register(Experiment{
 		ID:    "fig98",
@@ -86,88 +75,73 @@ func runFig1(ctx context.Context, w io.Writer, p Params) error {
 	return emit(w, p, t)
 }
 
-// platformFigure parameterizes Figures 2/3/4/6.
-type platformFigure struct {
-	petascale    bool
-	weibullShape float64 // 0 means Exponential
-}
-
-func (f platformFigure) scenarios(p Params) []harness.Scenario {
-	var spec platform.Spec
-	var grid []int
-	if f.petascale {
-		spec = platform.Petascale(125)
-		if p.Full {
-			grid = []int{1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15, 45208}
-		} else {
-			grid = []int{1 << 10, 1 << 12, 1 << 14, 45208}
-		}
-	} else {
-		spec = platform.Exascale()
+// platformFigureSpec declares Figures 2/3/4/6: degradation vs processors
+// on the Petascale or Exascale grid, Exponential failures (shape 0) or
+// Weibull ones. Each processor count is an explicit cell, whose horizon
+// leaves room for its job, and the cells render as one series table.
+func platformFigureSpec(p Params, id string, petascale bool, shape float64) *spec.ExperimentSpec {
+	preset, plat := "petascale", platform.Petascale(125)
+	grid := []int{1 << 10, 1 << 12, 1 << 14, 45208}
+	if p.Full {
+		grid = []int{1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15, 45208}
+	}
+	quickTraces := 8
+	if !petascale {
+		preset, plat = "exascale", platform.Exascale()
+		grid = []int{1 << 14, 1 << 17, 1 << 20}
 		if p.Full {
 			grid = []int{1 << 14, 1 << 15, 1 << 16, 1 << 17, 1 << 18, 1 << 19, 1 << 20}
-		} else {
-			grid = []int{1 << 14, 1 << 17, 1 << 20}
 		}
+		quickTraces = 5
 	}
-	traces := p.traces(8, 600)
-	if !f.petascale && !p.Full {
-		traces = p.traces(5, 600)
+	traces := p.traces(quickTraces, 600)
+	law, lawName := spec.DistSpec{Family: "exponential"}, "Exponential"
+	if shape > 0 {
+		law, lawName = spec.DistSpec{Family: "weibull", Shape: shape}, fmt.Sprintf("Weibull k=%g", shape)
 	}
-	var d dist.Distribution
-	if f.weibullShape > 0 {
-		d = dist.WeibullFromMeanShape(spec.MTBF, f.weibullShape)
-	} else {
-		d = dist.NewExponentialMean(spec.MTBF)
-	}
-	scs := make([]harness.Scenario, 0, len(grid))
-	for _, procs := range grid {
-		scs = append(scs, harness.Scenario{
-			Name:     fmt.Sprintf("%s-p=%d", spec.Name, procs),
-			Spec:     spec,
+	cells := make([]spec.ScenarioSpec, len(grid))
+	xs := make([]float64, len(grid))
+	for i, procs := range grid {
+		xs[i] = float64(procs)
+		cells[i] = spec.ScenarioSpec{
+			Name:     fmt.Sprintf("%s-p=%d", plat.Name, procs),
+			Platform: spec.PlatformRef{Preset: preset},
 			P:        procs,
-			Dist:     d,
-			Overhead: platform.OverheadConstant,
-			Work:     platform.Work{Model: platform.WorkEmbarrassing},
-			Horizon:  11*platform.Year + 4*spec.W/float64(procs),
+			Dist:     law,
+			Horizon:  11*platform.Year + 4*plat.W/float64(procs),
 			Start:    platform.Year,
 			Traces:   traces,
 			Seed:     p.seed(),
-		})
-	}
-	return scs
-}
-
-func runPlatformFigure(ctx context.Context, w io.Writer, p Params, f platformFigure) error {
-	scs := f.scenarios(p)
-	cfgFor := func(sc harness.Scenario) harness.CandidateConfig {
-		cfg := harness.DefaultCandidateConfig()
-		cfg.DPNextFailureQuanta = p.quantaOr(100, 200)
-		if f.weibullShape == 0 {
-			// DPMakespan is only exact for Exponential failures; the paper
-			// plots it on the Exponential figures (with the rejuvenation
-			// assumption) and drops it for Weibull at scale.
-			cfg.DPMakespanQuanta = p.quantaOr(400, 800)
 		}
-		return cfg
 	}
-	series, err := degradationSeries(ctx, scs, cfgFor, true, p)
-	if err != nil {
-		return err
+	std := &spec.StandardSpec{
+		DPNextFailureQuanta: p.quantaOr(100, 200),
+		IncludeLiu:          true,
+		IncludeBouguerra:    true,
+		PeriodLB:            periodLBSpec(p),
 	}
-	law := "Exponential"
-	if f.weibullShape > 0 {
-		law = fmt.Sprintf("Weibull k=%g", f.weibullShape)
+	if shape == 0 {
+		// DPMakespan is only exact for Exponential failures; the paper
+		// plots it on the Exponential figures (with the rejuvenation
+		// assumption) and drops it for Weibull at scale.
+		std.DPMakespanQuanta = p.quantaOr(400, 800)
 	}
 	name := "Petascale"
-	if !f.petascale {
+	if !petascale {
 		name = "Exascale"
 	}
-	t := harness.SeriesTable(
-		fmt.Sprintf("%s, %s failures: average degradation from best vs processors (%d traces/point)",
-			name, law, scs[0].Traces),
-		"processors", series)
-	return emit(w, p, t)
+	return &spec.ExperimentSpec{
+		Name:  id,
+		Table: "series",
+		Series: &spec.SeriesSpec{
+			Title: fmt.Sprintf("%s, %s failures: average degradation from best vs processors (%d traces/point)",
+				name, lawName, traces),
+			XLabel: "processors",
+			X:      xs,
+		},
+		Cells:      cells,
+		Candidates: spec.CandidatesSpec{Standard: std},
+	}
 }
 
 // fig5Spec declares Figure 5 as a shape-axis grid sweep over the Table 4
@@ -214,9 +188,10 @@ func fig5Spec(p Params) *spec.ExperimentSpec {
 // constant and platform-dependent checkpoint costs.
 func runFig98(ctx context.Context, w io.Writer, p Params) error {
 	return runWorkModelFigure(ctx, w, p, workModelFigure{
-		policyName: "OptExp",
-		weibull:    false,
-		overheads:  []platform.Overhead{platform.OverheadConstant, platform.OverheadProportional},
+		id:        "fig98",
+		policy:    spec.PolicySpec{Kind: "optexp", Name: "OptExp"},
+		weibull:   false,
+		overheads: []platform.Overhead{platform.OverheadConstant, platform.OverheadProportional},
 	})
 }
 
@@ -224,16 +199,20 @@ func runFig98(ctx context.Context, w io.Writer, p Params) error {
 // DPNextFailure with Weibull failures for the application models.
 func runFig99(ctx context.Context, w io.Writer, p Params) error {
 	return runWorkModelFigure(ctx, w, p, workModelFigure{
-		policyName: "DPNextFailure",
-		weibull:    true,
-		overheads:  []platform.Overhead{platform.OverheadConstant},
+		id:        "fig99",
+		policy:    spec.PolicySpec{Kind: "dpnextfailure", Name: "DPNextFailure", Quanta: p.quantaOr(100, 200)},
+		weibull:   true,
+		overheads: []platform.Overhead{platform.OverheadConstant},
 	})
 }
 
+// workModelFigure parameterizes Figures 98/99 and the one policy each
+// plots.
 type workModelFigure struct {
-	policyName string
-	weibull    bool
-	overheads  []platform.Overhead
+	id        string
+	policy    spec.PolicySpec
+	weibull   bool
+	overheads []platform.Overhead
 }
 
 func workModels() []platform.Work {
@@ -248,116 +227,61 @@ func workModels() []platform.Work {
 }
 
 func runWorkModelFigure(ctx context.Context, w io.Writer, p Params, f workModelFigure) error {
-	spec := platform.Petascale(125)
-	var d dist.Distribution
+	plat := platform.Petascale(125)
+	law, lawName := spec.DistSpec{Family: "exponential"}, "Exponential"
 	if f.weibull {
-		d = dist.WeibullFromMeanShape(spec.MTBF, 0.7)
-	} else {
-		d = dist.NewExponentialMean(spec.MTBF)
+		law, lawName = spec.DistSpec{Family: "weibull", Shape: 0.7}, "Weibull k=0.7"
 	}
-	var grid []int
+	grid := []int{1 << 10, 1 << 12, 1 << 14}
 	if p.Full {
 		grid = []int{1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15}
-	} else {
-		grid = []int{1 << 10, 1 << 12, 1 << 14}
 	}
 	traces := p.traces(6, 600)
+	es := &spec.ExperimentSpec{
+		Name:       f.id,
+		Candidates: spec.CandidatesSpec{Policies: []spec.PolicySpec{f.policy}},
+	}
 	for _, ov := range f.overheads {
-		var series []harness.Series
 		for _, wk := range workModels() {
-			var ys []float64
-			var xs []float64
+			ws := spec.EncodeWork(wk)
 			for _, procs := range grid {
-				sc := harness.Scenario{
+				es.Cells = append(es.Cells, spec.ScenarioSpec{
 					Name:     fmt.Sprintf("fig98-%s-p=%d", wk, procs),
-					Spec:     spec,
+					Platform: spec.PlatformRef{Preset: "petascale"},
 					P:        procs,
-					Dist:     d,
-					Overhead: ov,
-					Work:     wk,
-					Horizon:  11*platform.Year + 8*wk.Time(spec.W, procs),
+					Dist:     law,
+					Overhead: ov.String(),
+					Work:     &ws,
+					Horizon:  11*platform.Year + 8*wk.Time(plat.W, procs),
 					Start:    platform.Year,
 					Traces:   traces,
 					Seed:     p.seed(),
-				}
-				cfg := harness.CandidateConfig{}
-				switch f.policyName {
-				case "OptExp":
-					cfg.DPNextFailureQuanta = 0
-				case "DPNextFailure":
-					cfg.DPNextFailureQuanta = p.quantaOr(100, 200)
-				}
-				cands, err := harness.StandardCandidatesWith(ctx, p.engine(), sc, cfg)
-				if err != nil {
-					return err
-				}
-				// Keep only the single policy of interest.
-				var kept []harness.Candidate
-				for _, c := range cands {
-					if c.Name == f.policyName && c.SkipReason == "" {
-						kept = append(kept, c)
-					}
-				}
-				if len(kept) == 0 {
-					return fmt.Errorf("exper: policy %s unavailable for %s", f.policyName, sc.Name)
-				}
-				ev, err := harness.EvaluateWith(ctx, p.engine(), sc, kept)
-				if err != nil {
-					return err
-				}
-				xs = append(xs, float64(procs))
-				ys = append(ys, ev.MakespanSec[f.policyName].Mean/platform.Day)
+				})
 			}
-			series = append(series, harness.Series{Label: wk.String(), X: xs, Y: ys})
 		}
-		law := "Exponential"
-		if f.weibull {
-			law = "Weibull k=0.7"
+	}
+	results, err := spec.RunAll(ctx, p.engine(), es)
+	if err != nil {
+		return err
+	}
+	for _, ov := range f.overheads {
+		var series []harness.Series
+		for _, wk := range workModels() {
+			s := harness.Series{Label: wk.String()}
+			for _, procs := range grid {
+				s.X = append(s.X, float64(procs))
+				s.Y = append(s.Y, results[0].Eval.MakespanSec[f.policy.Name].Mean/platform.Day)
+				results = results[1:]
+			}
+			series = append(series, s)
 		}
 		t := harness.SeriesTable(
 			fmt.Sprintf("Average makespan (days) of %s vs processors, %s, %s overheads (%d traces/point)",
-				f.policyName, law, ov, traces),
+				f.policy.Name, lawName, ov, traces),
 			"processors", series)
 		if err := emit(w, p, t); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// degradationSeries evaluates each scenario with its candidate set and
-// returns one degradation series per policy, with the processor count on
-// the X axis.
-func degradationSeries(ctx context.Context, scs []harness.Scenario, cfgFor func(harness.Scenario) harness.CandidateConfig, withPeriodLB bool, p Params) ([]harness.Series, error) {
-	xs := make([]float64, len(scs))
-	for i, sc := range scs {
-		xs[i] = float64(sc.P)
-	}
-	return degradationSeriesX(ctx, scs, xs, cfgFor, withPeriodLB, p)
-}
-
-func degradationSeriesX(ctx context.Context, scs []harness.Scenario, xs []float64, cfgFor func(harness.Scenario) harness.CandidateConfig, withPeriodLB bool, p Params) ([]harness.Series, error) {
-	evs := make([]*harness.Evaluation, len(scs))
-	for i, sc := range scs {
-		cfg := cfgFor(sc)
-		if withPeriodLB {
-			period, err := harness.SearchPeriodLBWith(ctx, p.engine(), sc, periodLBConfig(p))
-			if err != nil {
-				return nil, err
-			}
-			cfg.PeriodLBPeriod = period
-		}
-		cands, err := harness.StandardCandidatesWith(ctx, p.engine(), sc, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ev, err := harness.EvaluateWith(ctx, p.engine(), sc, cands)
-		if err != nil {
-			return nil, err
-		}
-		evs[i] = ev
-	}
-	// Row order (candidate order, then skipped in candidate order) keeps
-	// series columns stable across runs and worker counts.
-	return pivotDegradationSeries(xs, evs), nil
 }

@@ -1,9 +1,7 @@
 package exper
 
 import (
-	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/harness"
 	"repro/internal/platform"
@@ -11,49 +9,46 @@ import (
 )
 
 // The table experiments are fully declarative: each registers a Spec
-// builder, and Run simply executes that spec through RunSpec. The cmd
-// tools dump the same specs with -dump-spec, so a checked-in spec file
-// reproduces the flag-driven output byte-for-byte.
+// builder, and Run executes that spec through RunSpec. The cmd tools dump
+// the same specs with -dump-spec, so a checked-in spec file reproduces the
+// flag-driven output byte-for-byte.
 
 func init() {
 	register(Experiment{
 		ID:    "table2",
 		Title: "Table 2: degradation from best, single processor, Exponential failures",
-		Spec:  func(p Params) (*spec.ExperimentSpec, error) { return singleProcTableSpec(p, false), nil },
-		Run: func(ctx context.Context, w io.Writer, p Params) error {
-			return RunSpec(ctx, w, p, singleProcTableSpec(p, false))
-		},
+		Spec:  func(p Params) *spec.ExperimentSpec { return singleProcTableSpec(p, false) },
 	})
 	register(Experiment{
 		ID:    "table3",
 		Title: "Table 3: degradation from best, single processor, Weibull (k=0.7) failures",
-		Spec:  func(p Params) (*spec.ExperimentSpec, error) { return singleProcTableSpec(p, true), nil },
-		Run: func(ctx context.Context, w io.Writer, p Params) error {
-			return RunSpec(ctx, w, p, singleProcTableSpec(p, true))
-		},
+		Spec:  func(p Params) *spec.ExperimentSpec { return singleProcTableSpec(p, true) },
 	})
 	register(Experiment{
 		ID:    "table4",
 		Title: "Table 4: degradation from best, 45,208 processors, Weibull (k=0.7) failures",
-		Spec:  func(p Params) (*spec.ExperimentSpec, error) { return table4Spec(p), nil },
-		Run: func(ctx context.Context, w io.Writer, p Params) error {
-			return RunSpec(ctx, w, p, table4Spec(p))
-		},
+		Spec:  table4Spec,
 	})
 	register(Experiment{
 		ID:    "spares",
 		Title: "§5.2.2: failures per run on the Table 4 scenario (spare processor sizing)",
-		Spec:  func(p Params) (*spec.ExperimentSpec, error) { return sparesSpec(p), nil },
-		Run: func(ctx context.Context, w io.Writer, p Params) error {
-			return RunSpec(ctx, w, p, sparesSpec(p))
-		},
+		Spec:  sparesSpec,
 	})
 }
 
-// periodLBSpec resolves the Params-level period-search configuration into
-// its declarative form.
+// periodLBSpec declares the §4.1 period search at the mode's size: the
+// laptop-scale defaults in quick mode, the paper's grid with 1,000 traces
+// in full mode.
 func periodLBSpec(p Params) *spec.PeriodLBSpec {
-	cfg := periodLBConfig(p)
+	cfg := harness.DefaultPeriodLBConfig()
+	if p.Full {
+		cfg.EvalTraces = 1000
+		cfg.GeometricSteps = 60
+		cfg.LinearSteps = 180
+	}
+	if p.PeriodLBTraces > 0 {
+		cfg.EvalTraces = p.PeriodLBTraces
+	}
 	return &spec.PeriodLBSpec{
 		EvalTraces:     cfg.EvalTraces,
 		GeometricSteps: cfg.GeometricSteps,
@@ -115,25 +110,6 @@ func singleProcCellSpec(mtbf float64, weibull bool, traces int, seed uint64) spe
 	}
 }
 
-// singleProcScenario compiles the Table 2/3 cell for the appendix sweeps.
-func singleProcScenario(mtbf float64, weibull bool, traces int, seed uint64) harness.Scenario {
-	sc, err := singleProcCellSpec(mtbf, weibull, traces, seed).Compile()
-	if err != nil {
-		panic(fmt.Sprintf("exper: single-proc cell spec must compile: %v", err))
-	}
-	return sc
-}
-
-// table4Scenario compiles the §5.2.2 headline scenario for the extension
-// experiments.
-func table4Scenario(traces int, seed uint64) harness.Scenario {
-	sc, err := table4ScenarioSpec("table4", "", traces, seed).Compile()
-	if err != nil {
-		panic(fmt.Sprintf("exper: table4 cell spec must compile: %v", err))
-	}
-	return sc
-}
-
 // table4ScenarioSpec is the §5.2.2 headline configuration.
 func table4ScenarioSpec(name, title string, traces int, seed uint64) spec.ScenarioSpec {
 	return spec.ScenarioSpec{
@@ -175,19 +151,6 @@ func sparesSpec(p Params) *spec.ExperimentSpec {
 			DPNextFailureQuanta: p.quantaOr(120, 200),
 		}},
 	}
-}
-
-func periodLBConfig(p Params) harness.PeriodLBConfig {
-	cfg := harness.DefaultPeriodLBConfig()
-	if p.Full {
-		cfg.EvalTraces = 1000
-		cfg.GeometricSteps = 60
-		cfg.LinearSteps = 180
-	}
-	if p.PeriodLBTraces > 0 {
-		cfg.EvalTraces = p.PeriodLBTraces
-	}
-	return cfg
 }
 
 func humanDuration(sec float64) string {

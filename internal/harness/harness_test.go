@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/platform"
 )
 
@@ -85,134 +86,6 @@ func TestDerivedQuantities(t *testing.T) {
 	}
 }
 
-func TestEvaluateExponentialSingleProc(t *testing.T) {
-	sc := quickScenario(dist.NewExponentialMean(9000))
-	cfg := DefaultCandidateConfig()
-	cfg.DPNextFailureQuanta = 60
-	cfg.DPMakespanQuanta = 50
-	cands, err := StandardCandidates(context.Background(), sc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := Evaluate(context.Background(), sc, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// LowerBound must be at or below 1 and every heuristic at or above 1.
-	if lb := ev.Degradation["LowerBound"]; lb.Mean > 1+1e-9 {
-		t.Errorf("LowerBound degradation %v > 1", lb.Mean)
-	}
-	for _, name := range ev.Order {
-		if name == "LowerBound" {
-			continue
-		}
-		d := ev.Degradation[name]
-		if d.Min < 1-1e-9 {
-			t.Errorf("%s: min degradation %v below 1", name, d.Min)
-		}
-		if d.N != sc.Traces {
-			t.Errorf("%s: %d samples, want %d", name, d.N, sc.Traces)
-		}
-	}
-	// At least one policy achieves the best on some trace: min == 1.
-	atBest := false
-	for _, name := range ev.Order {
-		if name != "LowerBound" && ev.Degradation[name].Min <= 1+1e-12 {
-			atBest = true
-		}
-	}
-	if !atBest {
-		t.Error("no policy ever achieves the per-trace best; reference broken")
-	}
-	// §5.1.1: the closed-form heuristics are close to optimal for
-	// exponential failures on one processor.
-	for _, name := range []string{"Young", "DalyLow", "DalyHigh", "OptExp"} {
-		if d := ev.Degradation[name]; d.Mean > 1.10 {
-			t.Errorf("%s degradation %v implausibly high for exponential 1-proc", name, d.Mean)
-		}
-	}
-}
-
-func TestEvaluateDeterministic(t *testing.T) {
-	sc := quickScenario(dist.WeibullFromMeanShape(9000, 0.7))
-	sc.Traces = 8
-	cfg := DefaultCandidateConfig()
-	cfg.DPNextFailureQuanta = 40
-	cands, err := StandardCandidates(context.Background(), sc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev1, err := Evaluate(context.Background(), sc, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev2, err := Evaluate(context.Background(), sc, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range ev1.Order {
-		if ev1.Degradation[name].Mean != ev2.Degradation[name].Mean {
-			t.Errorf("%s: evaluation not deterministic", name)
-		}
-	}
-}
-
-func TestEvaluateSkipsInfeasibleLiu(t *testing.T) {
-	// Weibull k=0.5 on a large platform: Liu must be reported as skipped.
-	spec := platform.Petascale(125)
-	sc := Scenario{
-		Name: "liu-skip", Spec: spec, P: 45208,
-		Dist:     dist.WeibullFromMeanShape(125*platform.Year, 0.5),
-		Overhead: platform.OverheadConstant,
-		Work:     platform.Work{Model: platform.WorkEmbarrassing},
-		Horizon:  11 * platform.Year, Start: platform.Year,
-		Traces: 2, Seed: 3,
-	}
-	cfg := DefaultCandidateConfig()
-	cfg.DPNextFailureQuanta = 0 // keep this test fast
-	cands, err := StandardCandidates(context.Background(), sc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := Evaluate(context.Background(), sc, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ev.Skipped["Liu"]; !ok {
-		t.Error("Liu not reported as skipped")
-	}
-	for _, name := range ev.Order {
-		if name == "Liu" {
-			t.Error("skipped policy appears in results order")
-		}
-	}
-}
-
-func TestStandardCandidatesDPMakespanNeedsAggregableLaw(t *testing.T) {
-	sc := quickScenario(dist.NewExponentialMean(9000))
-	sc.Dist = dist.NewEmpirical([]float64{5000, 9000, 13000})
-	sc.P = 1
-	cfg := DefaultCandidateConfig()
-	cfg.DPMakespanQuanta = 30
-	cfg.IncludeLiu = false
-	cfg.IncludeBouguerra = false
-	cfg.DPNextFailureQuanta = 30
-	cands, err := StandardCandidates(context.Background(), sc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Single unit: empirical law is fine (no aggregation needed).
-	found := false
-	for _, c := range cands {
-		if c.Name == "DPMakespan" && c.SkipReason == "" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("DPMakespan should run on a single empirical unit")
-	}
-}
-
 func TestNewStats(t *testing.T) {
 	s := NewStats([]float64{1, 2, 3, 4})
 	if s.Mean != 2.5 || s.N != 4 || s.Min != 1 || s.Max != 4 {
@@ -234,7 +107,7 @@ func TestSearchPeriodLBFindsGoodPeriod(t *testing.T) {
 	cfg.EvalTraces = 12
 	cfg.GeometricSteps = 8
 	cfg.LinearSteps = 4
-	period, err := SearchPeriodLB(context.Background(), sc, cfg)
+	period, err := SearchPeriodLB(context.Background(), engine.Default(), sc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,27 +115,6 @@ func TestSearchPeriodLBFindsGoodPeriod(t *testing.T) {
 	young := math.Sqrt(2 * 300 * 9060)
 	if period < young/3 || period > young*3 {
 		t.Errorf("PeriodLB found %v, Young is %v", period, young)
-	}
-}
-
-func TestPeriodVariationUShape(t *testing.T) {
-	sc := quickScenario(dist.NewExponentialMean(4000))
-	sc.Traces = 30
-	cfg := DefaultCandidateConfig()
-	cfg.DPNextFailureQuanta = 0
-	cfg.IncludeLiu = false
-	cfg.IncludeBouguerra = false
-	points, ev, err := PeriodVariation(context.Background(), sc, cfg, []float64{-4, -2, 0, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev == nil || len(points) != 5 {
-		t.Fatalf("points = %v", points)
-	}
-	// The sweep must be U-shaped around factor 0: extremes worse.
-	mid := points[2].Degradation.Mean
-	if points[0].Degradation.Mean <= mid || points[4].Degradation.Mean <= mid {
-		t.Errorf("no U-shape: %v", points)
 	}
 }
 
@@ -323,44 +175,5 @@ func TestSeriesTable(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "n/a") {
 		t.Errorf("NaN cell not rendered:\n%s", buf.String())
-	}
-}
-
-func TestEvaluateWeibullDPNextFailureWins(t *testing.T) {
-	// The headline qualitative result (§5.2.2, Figure 4 / Table 4): on a
-	// large platform with Weibull k=0.7 failures, DPNextFailure beats the
-	// MTBF-based periodic heuristics. This scaled-down version uses fewer
-	// processors and traces but must preserve the ordering.
-	spec := platform.Petascale(125)
-	sc := Scenario{
-		Name: "weibull-win", Spec: spec, P: 45208,
-		Dist:     dist.WeibullFromMeanShape(125*platform.Year, 0.7),
-		Overhead: platform.OverheadConstant,
-		Work:     platform.Work{Model: platform.WorkEmbarrassing},
-		Horizon:  11 * platform.Year, Start: platform.Year,
-		Traces: 12, Seed: 42,
-	}
-	cfg := DefaultCandidateConfig()
-	cfg.DPNextFailureQuanta = 120
-	cands, err := StandardCandidates(context.Background(), sc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := Evaluate(context.Background(), sc, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dpnf := ev.Degradation["DPNextFailure"].Mean
-	for _, name := range []string{"Young", "DalyLow", "DalyHigh", "OptExp"} {
-		if ev.Degradation[name].Mean <= dpnf {
-			t.Errorf("%s (%.4f) should be worse than DPNextFailure (%.4f) under Weibull k=0.7",
-				name, ev.Degradation[name].Mean, dpnf)
-		}
-	}
-	// Bouguerra's rejuvenation assumption should hurt it badly (§5.2.2).
-	if b, ok := ev.Degradation["Bouguerra"]; ok {
-		if b.Mean <= dpnf {
-			t.Errorf("Bouguerra (%.4f) should trail DPNextFailure (%.4f)", b.Mean, dpnf)
-		}
 	}
 }

@@ -39,12 +39,6 @@ func DefaultPeriodLBConfig() PeriodLBConfig {
 }
 
 // SearchPeriodLB finds the best fixed checkpointing period for the
-// scenario with the default engine.
-func SearchPeriodLB(ctx context.Context, sc Scenario, cfg PeriodLBConfig) (float64, error) {
-	return SearchPeriodLBWith(ctx, engine.Default(), sc, cfg)
-}
-
-// SearchPeriodLBWith finds the best fixed checkpointing period for the
 // scenario by numerical search around OptExp's period, evaluating every
 // candidate period on the same pre-generated traces (paired search).
 // Candidate periods of each refinement phase are scored concurrently on
@@ -52,12 +46,12 @@ func SearchPeriodLB(ctx context.Context, sc Scenario, cfg PeriodLBConfig) (float
 // scan in the same order (and with the same strict-improvement tie
 // breaking) as the original sequential search, so the result is identical
 // for every worker count.
-func SearchPeriodLBWith(ctx context.Context, eng *engine.Engine, sc Scenario, cfg PeriodLBConfig) (float64, error) {
+func SearchPeriodLB(ctx context.Context, eng *engine.Engine, sc Scenario, cfg PeriodLBConfig) (float64, error) {
 	d, err := sc.Derive()
 	if err != nil {
 		return 0, err
 	}
-	base, err := basePeriod(d)
+	base, err := BasePeriod(d)
 	if err != nil {
 		return 0, err
 	}
@@ -134,9 +128,10 @@ func SearchPeriodLBWith(ctx context.Context, eng *engine.Engine, sc Scenario, cf
 	return bestPeriod, nil
 }
 
-// basePeriod returns OptExp's period for the derived scenario, falling
-// back to Young's if the Lambert evaluation fails.
-func basePeriod(d Derived) (float64, error) {
+// BasePeriod returns OptExp's period for the derived scenario, falling
+// back to Young's if the Lambert evaluation fails: the centre of the
+// PeriodLB search, and the base of the Appendix A period sweeps.
+func BasePeriod(d Derived) (float64, error) {
 	if opt, err := policy.NewOptExp(d.WorkP, d.PlatformRate, d.C); err == nil {
 		return opt.Period(), nil
 	}
@@ -145,59 +140,4 @@ func basePeriod(d Derived) (float64, error) {
 		return 0, fmt.Errorf("harness: cannot derive a base period")
 	}
 	return young.Period(), nil
-}
-
-// PeriodVariationPoint is one point of the Appendix A/B period-sweep
-// figures: the average degradation of the fixed period base*2^Factor.
-type PeriodVariationPoint struct {
-	Log2Factor  float64
-	Degradation Stats
-}
-
-// PeriodVariation reproduces the PeriodVariation curves with the default
-// engine.
-func PeriodVariation(ctx context.Context, sc Scenario, cfg CandidateConfig, log2Factors []float64) ([]PeriodVariationPoint, *Evaluation, error) {
-	return PeriodVariationWith(ctx, engine.Default(), sc, cfg, log2Factors)
-}
-
-// PeriodVariationWith reproduces the PeriodVariation curves: it evaluates
-// fixed-period policies at base*2^f for the given f grid, together with
-// the standard candidate set (which defines the per-trace reference), and
-// returns one point per factor.
-func PeriodVariationWith(ctx context.Context, eng *engine.Engine, sc Scenario, cfg CandidateConfig, log2Factors []float64) ([]PeriodVariationPoint, *Evaluation, error) {
-	d, err := sc.Derive()
-	if err != nil {
-		return nil, nil, err
-	}
-	base, err := basePeriod(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	cands, err := StandardCandidatesWith(ctx, eng, sc, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	names := make([]string, len(log2Factors))
-	for i, f := range log2Factors {
-		period := base * math.Pow(2, f)
-		if period > d.WorkP {
-			period = d.WorkP
-		}
-		names[i] = fmt.Sprintf("PeriodVar[%+.2f]", f)
-		cands = append(cands, Candidate{
-			Name: names[i],
-			New: func(p float64, n string) func() (sim.Policy, error) {
-				return func() (sim.Policy, error) { return policy.NewPeriodic(n, p), nil }
-			}(period, names[i]),
-		})
-	}
-	ev, err := EvaluateWith(ctx, eng, sc, cands)
-	if err != nil {
-		return nil, nil, err
-	}
-	points := make([]PeriodVariationPoint, len(log2Factors))
-	for i, f := range log2Factors {
-		points[i] = PeriodVariationPoint{Log2Factor: f, Degradation: ev.Degradation[names[i]]}
-	}
-	return points, ev, nil
 }

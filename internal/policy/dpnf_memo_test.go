@@ -61,7 +61,7 @@ func TestDPNextFailureMemoSolvesEachInputOnce(t *testing.T) {
 			return pol, err
 		}
 	}
-	if _, err := harness.EvaluateWith(ctx, eng, sc, cands); err != nil {
+	if _, err := harness.Evaluate(ctx, eng, sc, cands); err != nil {
 		t.Fatal(err)
 	}
 	if solves == 0 {

@@ -21,7 +21,9 @@
 // internal/policy and every Table 1 platform preset registers a named
 // constructor in an init function (RegisterDist, RegisterPolicy,
 // RegisterPlatform); DistFamilies, PolicyKinds and PlatformNames
-// enumerate them. Encoding is round-trip safe: encoding/json marshals
+// enumerate them. The paper's §4.1 standard set (StandardSpec) expands
+// into registered kinds too, so every candidate is built in one place.
+// Encoding is round-trip safe: encoding/json marshals
 // float64 with the shortest representation that parses back to the same
 // bits, so encode → decode → build reproduces bit-identical laws — the
 // property the spec_test suite asserts for every registered name.

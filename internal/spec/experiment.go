@@ -50,9 +50,9 @@ func (s PeriodLBSpec) Config() harness.PeriodLBConfig {
 	return cfg
 }
 
-// StandardSpec declares the paper's standard policy set (§4.1). Fields map
-// literally onto harness.CandidateConfig — nothing is defaulted, so a
-// dumped spec states exactly what ran.
+// StandardSpec declares the paper's standard policy set (§4.1) as
+// registered policy kinds. Nothing is defaulted, so a dumped spec states
+// exactly what ran.
 type StandardSpec struct {
 	// DPNextFailureQuanta is the Algorithm 2 resolution (0 disables).
 	DPNextFailureQuanta int `json:"dpNextFailureQuanta,omitempty"`
@@ -64,6 +64,45 @@ type StandardSpec struct {
 	// PeriodLB, when set, runs the numerical period search and enters the
 	// winning fixed period as the PeriodLB candidate.
 	PeriodLB *PeriodLBSpec `json:"periodLB,omitempty"`
+}
+
+// Build compiles the standard set against a compiled scenario, with the
+// paper's skip rules (Liu's infeasible schedules, DPMakespan on a law it
+// cannot aggregate). It is CandidatesSpec.Build for the standard set
+// alone.
+func (std StandardSpec) Build(ctx context.Context, eng *engine.Engine, sc harness.Scenario) ([]harness.Candidate, error) {
+	return CandidatesSpec{Standard: &std}.Build(ctx, eng, sc)
+}
+
+// policies expands the standard set into registered policy kinds, in the
+// order the paper's tables list them: young, dalylow, dalyhigh, optexp,
+// bouguerra, liu, PeriodLB (a "period" policy at the searched period),
+// dpnextfailure, dpmakespan.
+func (std StandardSpec) policies(ctx context.Context, eng *engine.Engine, sc harness.Scenario) ([]PolicySpec, error) {
+	out := []PolicySpec{{Kind: "young"}, {Kind: "dalylow"}, {Kind: "dalyhigh"}, {Kind: "optexp"}}
+	if std.IncludeBouguerra {
+		out = append(out, PolicySpec{Kind: "bouguerra"})
+	}
+	if std.IncludeLiu {
+		out = append(out, PolicySpec{Kind: "liu"})
+	}
+	if std.PeriodLB != nil {
+		if err := std.PeriodLB.validate(); err != nil {
+			return nil, err
+		}
+		period, err := harness.SearchPeriodLB(ctx, eng, sc, std.PeriodLB.Config())
+		if err != nil {
+			return nil, fmt.Errorf("spec: scenario %q: PeriodLB search: %w", sc.Name, err)
+		}
+		out = append(out, PolicySpec{Kind: "period", Name: "PeriodLB", Period: period})
+	}
+	if std.DPNextFailureQuanta > 0 {
+		out = append(out, PolicySpec{Kind: "dpnextfailure", Quanta: std.DPNextFailureQuanta})
+	}
+	if std.DPMakespanQuanta > 0 {
+		out = append(out, PolicySpec{Kind: "dpmakespan", Quanta: std.DPMakespanQuanta})
+	}
+	return out, nil
 }
 
 // CandidatesSpec declares a cell's policy set: the standard set, explicit
@@ -98,48 +137,39 @@ func (cs CandidatesSpec) Validate() error {
 	return nil
 }
 
-// Build compiles the candidate set against a compiled scenario.
+// Build compiles the candidate set against a compiled scenario: every
+// policy, standard or explicit, through its registered builder. The
+// policies share one engine scope (eng's, or one of their own when eng is
+// not one), so DPNextFailure runs share their post-failure grids.
 func (cs CandidatesSpec) Build(ctx context.Context, eng *engine.Engine, sc harness.Scenario) ([]harness.Candidate, error) {
 	if cs.Standard == nil && len(cs.Policies) == 0 {
 		return nil, fmt.Errorf("spec: scenario %q has no candidates (need standard and/or policies)", sc.Name)
 	}
-	var out []harness.Candidate
-	if std := cs.Standard; std != nil {
-		cfg := harness.CandidateConfig{
-			DPNextFailureQuanta: std.DPNextFailureQuanta,
-			DPMakespanQuanta:    std.DPMakespanQuanta,
-			IncludeLiu:          std.IncludeLiu,
-			IncludeBouguerra:    std.IncludeBouguerra,
-		}
-		if std.PeriodLB != nil {
-			if err := std.PeriodLB.validate(); err != nil {
-				return nil, err
-			}
-			period, err := harness.SearchPeriodLBWith(ctx, eng, sc, std.PeriodLB.Config())
-			if err != nil {
-				return nil, fmt.Errorf("spec: scenario %q: PeriodLB search: %w", sc.Name, err)
-			}
-			cfg.PeriodLBPeriod = period
-		}
-		cands, err := harness.StandardCandidatesWith(ctx, eng, sc, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cands...)
+	eng = eng.Scope()
+	d, err := sc.Derive()
+	if err != nil {
+		return nil, err
 	}
-	if len(cs.Policies) > 0 {
-		d, err := sc.Derive()
-		if err != nil {
+	var specs []PolicySpec
+	if cs.Standard != nil {
+		if specs, err = cs.Standard.policies(ctx, eng, sc); err != nil {
 			return nil, err
 		}
-		env := PolicyEnv{Engine: eng, Scenario: sc, Derived: d}
-		for _, ps := range cs.Policies {
-			cand, err := ps.Candidate(ctx, env)
-			if err != nil {
-				return nil, fmt.Errorf("spec: scenario %q: %w", sc.Name, err)
-			}
-			out = append(out, cand)
+	}
+	specs = append(specs, cs.Policies...)
+	env := PolicyEnv{Engine: eng, Scenario: sc, Derived: d}
+	out := make([]harness.Candidate, 0, len(specs))
+	for _, ps := range specs {
+		// The DP builds are the expensive steps; honor cancellation
+		// before committing to each.
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+		cand, err := ps.Candidate(ctx, env)
+		if err != nil {
+			return nil, fmt.Errorf("spec: scenario %q: %w", sc.Name, err)
+		}
+		out = append(out, cand)
 	}
 	return out, nil
 }

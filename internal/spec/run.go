@@ -58,7 +58,7 @@ func runCell(ctx context.Context, eng *engine.Engine, cell Cell) (CellResult, []
 	if err != nil {
 		return CellResult{Index: cell.Index}, nil, err
 	}
-	ev, err := harness.EvaluateWith(ctx, eng, sc, cands)
+	ev, err := harness.Evaluate(ctx, eng, sc, cands)
 	if err != nil {
 		return CellResult{Index: cell.Index}, nil, err
 	}
