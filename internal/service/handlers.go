@@ -243,32 +243,17 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 }
 
 // evaluateSpec is the shared core of /v1/evaluate and /v1/recommend:
-// validate the single-cell experiment, hash it, run it coalesced. The raw
-// cell result rides along for consumers that need the compiled candidate
-// set (the recommend handler reads the winner's period off it).
+// pre-flight the single-cell experiment, hash it, run it coalesced. The
+// raw cell result rides along for consumers that need the compiled
+// candidate set (the recommend handler reads the winner's period off it).
 func (s *Server) evaluateSpec(ctx context.Context, es *spec.ExperimentSpec) (*EvaluateResponse, spec.CellResult, int, error) {
-	// A series layout cannot render a single cell; refuse before the
-	// engine run, not at render time after it.
-	if es.Table == "series" {
-		return nil, spec.CellResult{}, http.StatusBadRequest,
-			errors.New("service: the series layout pivots cells into one table; use table \"degradation\" or \"spares\"")
-	}
-	cells, err := es.Expand()
+	cells, err := validateSpec(es)
 	if err != nil {
 		return nil, spec.CellResult{}, http.StatusBadRequest, err
 	}
 	if len(cells) != 1 {
 		return nil, spec.CellResult{}, http.StatusBadRequest,
 			fmt.Errorf("service: experiment %q expands to %d cells; /v1/evaluate takes exactly one (stream grids with /v1/sweep)", es.Name, len(cells))
-	}
-	// Compile and validate now: configuration mistakes (unknown presets or
-	// policy kinds, infeasible geometry) must answer 400, not surface as a
-	// 500 from the engine run.
-	if _, err := cells[0].Scenario.Compile(); err != nil {
-		return nil, spec.CellResult{}, http.StatusBadRequest, err
-	}
-	if err := cells[0].Candidates.Validate(); err != nil {
-		return nil, spec.CellResult{}, http.StatusBadRequest, err
 	}
 	hash, err := spec.CanonicalHash(es)
 	if err != nil {
@@ -296,7 +281,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	// Pre-flight every cell: a sweep that can only fail must answer 400
 	// before the 200 + NDJSON stream starts, like /v1/evaluate does.
-	cells, err := validateSweepSpec(es)
+	cells, err := validateSpec(es)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

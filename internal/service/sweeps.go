@@ -107,12 +107,15 @@ func newSweepJobs() *sweepJobs {
 
 func (sj *sweepJobs) wait() { sj.wg.Wait() }
 
-// validateSweepSpec pre-flights a sweep experiment: expands the grid and
-// compiles every cell, so a sweep that can only fail answers 400 before
-// any stream or durable record exists.
-func validateSweepSpec(es *spec.ExperimentSpec) ([]spec.Cell, error) {
+// validateSpec pre-flights an experiment for /v1/evaluate and the
+// sweeps: it expands the grid and compiles every cell, so configuration
+// mistakes (unknown presets or policy kinds, infeasible geometry) answer
+// 400 before any engine run, stream or durable record exists.
+func validateSpec(es *spec.ExperimentSpec) ([]spec.Cell, error) {
+	// Cells are served one by one; a series layout renders only all of
+	// them at once.
 	if es.Table == "series" {
-		return nil, errors.New("service: the series layout pivots all cells into one table and cannot stream; use table \"degradation\" or \"spares\"")
+		return nil, errors.New("service: the series layout pivots all cells into one table and cannot be served per cell; use table \"degradation\" or \"spares\"")
 	}
 	cells, err := es.Expand()
 	if err != nil {
@@ -361,7 +364,7 @@ func (s *Server) getJob(ctx context.Context, id string) (*sweepJob, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: sweep job %s: corrupt job record: %w", id, err)
 	}
-	cells, err := validateSweepSpec(es)
+	cells, err := validateSpec(es)
 	if err != nil {
 		return nil, fmt.Errorf("service: sweep job %s: %w", id, err)
 	}
@@ -384,7 +387,7 @@ func (s *Server) handleSweepJobCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, decodeStatus(err), err)
 		return
 	}
-	cells, err := validateSweepSpec(es)
+	cells, err := validateSpec(es)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
