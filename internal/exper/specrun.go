@@ -37,7 +37,11 @@ func RunSpec(ctx context.Context, w io.Writer, p Params, es *spec.ExperimentSpec
 }
 
 // runSeriesSpec renders all cells as one pivoted curve table: one column
-// per policy, one row per cell X value (the figures' data layout).
+// per policy, one row per cell X value (the figures' data layout). Each
+// cell's evaluation contributes one point to every policy's
+// average-degradation curve; curves are ordered by first appearance
+// across cells, and skipped policies contribute NaN points ("n/a" in the
+// rendered table, like the paper's incomplete figure curves).
 func runSeriesSpec(ctx context.Context, w io.Writer, p Params, es *spec.ExperimentSpec) error {
 	results, err := spec.RunAll(ctx, p.engine(), es)
 	if err != nil {
@@ -47,29 +51,14 @@ func runSeriesSpec(ctx context.Context, w io.Writer, p Params, es *spec.Experime
 	if len(ss.X) > 0 && len(ss.X) != len(results) {
 		return fmt.Errorf("exper: series x has %d values for %d cells", len(ss.X), len(results))
 	}
-	xs := make([]float64, len(results))
-	evs := make([]*harness.Evaluation, len(results))
-	for i, res := range results {
-		xs[i] = float64(i)
-		if len(ss.X) > 0 {
-			xs[i] = ss.X[i]
-		}
-		evs[i] = res.Eval
-	}
-	return emit(w, p, harness.SeriesTable(ss.Title, ss.XLabel, pivotDegradationSeries(xs, evs)))
-}
-
-// pivotDegradationSeries pivots one evaluation per X position into one
-// average-degradation curve per policy, ordered by first appearance
-// across evaluations; skipped policies contribute NaN points ("n/a" in
-// the rendered table, like the paper's incomplete figure curves). It is
-// the shared core of the flag-driven figure series and the spec-driven
-// "series" layout.
-func pivotDegradationSeries(xs []float64, evs []*harness.Evaluation) []harness.Series {
 	byPolicy := map[string]*harness.Series{}
 	var policyOrder []string
-	for i, ev := range evs {
-		for _, row := range ev.Rows() {
+	for i, res := range results {
+		x := float64(i)
+		if len(ss.X) > 0 {
+			x = ss.X[i]
+		}
+		for _, row := range res.Eval.Rows() {
 			s, ok := byPolicy[row.Name]
 			if !ok {
 				s = &harness.Series{Label: row.Name}
@@ -80,15 +69,15 @@ func pivotDegradationSeries(xs []float64, evs []*harness.Evaluation) []harness.S
 			if row.Skipped != "" {
 				y = math.NaN()
 			}
-			s.X = append(s.X, xs[i])
+			s.X = append(s.X, x)
 			s.Y = append(s.Y, y)
 		}
 	}
-	out := make([]harness.Series, 0, len(policyOrder))
+	series := make([]harness.Series, 0, len(policyOrder))
 	for _, name := range policyOrder {
-		out = append(out, *byPolicy[name])
+		series = append(series, *byPolicy[name])
 	}
-	return out
+	return emit(w, p, harness.SeriesTable(ss.Title, ss.XLabel, series))
 }
 
 // RenderCell lays out one cell's evaluation according to the experiment's
