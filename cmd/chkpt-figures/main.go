@@ -6,9 +6,10 @@
 // fig7 — and the ablation-dpnf extension can be dumped with -dump-spec
 // and replayed byte-identically with -spec; any experiment spec file
 // runs through -spec. fig7's spec carries the 20,000 samples of its
-// availability log (100,000 with -full), so its dump is about 1.2 MB.
-// The other figures render their cells with table code of their own and
-// have no dump. Timings go to stderr, so stdout is deterministic.
+// availability log in each of its cells, so its dump is about 1.2 MB
+// (about 12 MB with -full: 100,000 samples, four cells). The other
+// figures render their cells with table code of their own and have no
+// dump. Timings go to stderr, so stdout is deterministic.
 //
 // Examples:
 //
