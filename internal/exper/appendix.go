@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"repro/internal/harness"
 	"repro/internal/platform"
@@ -88,12 +89,14 @@ func runPeriodSweepSingleProc(ctx context.Context, w io.Writer, p Params, weibul
 			sweep.X = append(sweep.X, f)
 			sweep.Y = append(sweep.Y, ev.Degradation[cands.Policies[i].Name].Mean)
 		}
-		// Reference lines: flat series at each fixed heuristic's level.
+		// Reference lines: flat series at each fixed heuristic's level and
+		// the LowerBound's. The sweep's own periods are the curve above,
+		// not lines of their own.
 		var series []harness.Series
 		series = append(series, sweep)
 		for _, name := range ev.Order {
 			deg, ok := ev.Degradation[name]
-			if !ok {
+			if !ok || strings.HasPrefix(name, "PeriodVar[") {
 				continue
 			}
 			series = append(series, harness.Series{

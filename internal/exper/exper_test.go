@@ -138,6 +138,26 @@ func TestFig7Smoke(t *testing.T) {
 	}
 }
 
+// TestFigAReferenceLines: an Appendix A table draws the PeriodVariation
+// curve and one reference line per fixed heuristic and the LowerBound,
+// never a column per swept period.
+func TestFigAReferenceLines(t *testing.T) {
+	e, _ := Find("figA-period-exp")
+	var buf bytes.Buffer
+	if err := e.Run(context.Background(), &buf, tiny()); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if strings.Contains(out, "PeriodVar[") {
+		t.Errorf("figA output has PeriodVar[...] columns:\n%s", out)
+	}
+	for _, name := range []string{"PeriodVariation", "LowerBound", "Young", "OptExp", "DPMakespan"} {
+		if !strings.Contains(out, name) {
+			t.Errorf("figA output missing %s:\n%s", name, out)
+		}
+	}
+}
+
 func TestParamsHelpers(t *testing.T) {
 	p := Params{}
 	if p.traces(10, 600) != 10 || p.pick(1, 2) != 1 || p.seed() == 0 {
