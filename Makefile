@@ -44,11 +44,12 @@ bench-smoke:
 # keeps the median of each benchmark's three runs. Bump PR= per stacked
 # PR; the prose interpretation stays in BENCH.md.
 #
-# BENCH_STREAMS is one pass, seven streams that all feed one
+# BENCH_STREAMS is one pass, eight streams that all feed one
 # chkpt-benchjson invocation (the parser handles concatenation):
 #
 #   - every package but the four below runs each rung once (1x), except
-#     the store-append rungs and BenchmarkEngineTraceCache;
+#     the store-append and store-replay rungs and
+#     BenchmarkEngineTraceCache;
 #   - the packages whose rungs take nanoseconds (specialfn, rng, obs,
 #     dist) run 100000x, so allocs/op is a per-op figure: at 1x one
 #     stray runtime allocation reads as 1 alloc/op and breaks an exact
@@ -62,6 +63,10 @@ bench-smoke:
 #     its 64 units first fail (at 20000x it alone took ~46 s per run);
 #   - the advisor's replay rung runs 300x, so each figure averages 300
 #     restores: its 20-us young case read 19 to 43 us at 1x;
+#   - the store's replay rungs (BenchmarkFileStoreReplay and
+#     BenchmarkRemoteStoreReplay) run 300x too, so each figure averages
+#     300 restores instead of one cold exchange: at 1x
+#     BenchmarkFileStoreReplay read 323 to 580 us on unchanged code;
 #   - the store-append rungs (BenchmarkStoreAppend{Mem,File} and
 #     BenchmarkRemoteStoreAppend) run 6400x, so their 1, 8 and 64
 #     writers each append 6400/writers events per run and ns/op is a
@@ -71,15 +76,16 @@ bench-smoke:
 #     allocations of unknown source in some single-iteration runs), so
 #     about one pass in four had a median of 14 and failed the 1.5x
 #     alloc gate on unchanged code; at 1000x every run reads 9.
-PR ?= 20
+PR ?= 22
 ADVISOR_BENCHTIME ?= 20000x
 
-BENCH_STREAMS = { $(GO) test -run xxx -bench . -skip 'StoreAppend|EngineTraceCache' -benchtime 1x -count 3 -benchmem $$($(GO) list ./... | grep -v -E 'internal/(advisor|specialfn|rng|obs|dist)$$'); \
+BENCH_STREAMS = { $(GO) test -run xxx -bench . -skip 'StoreAppend|StoreReplay|EngineTraceCache' -benchtime 1x -count 3 -benchmem $$($(GO) list ./... | grep -v -E 'internal/(advisor|specialfn|rng|obs|dist)$$'); \
 	  $(GO) test -run xxx -bench . -benchtime 100000x -count 3 -benchmem ./internal/specialfn ./internal/rng ./internal/obs ./internal/dist; \
 	  $(GO) test -run xxx -bench BenchmarkSession -skip BenchmarkSessionDPNextFailureStepWeibull -benchtime $(ADVISOR_BENCHTIME) -count 3 -benchmem ./internal/advisor; \
 	  $(GO) test -run xxx -bench BenchmarkSessionDPNextFailureStepWeibull -benchtime 500x -count 3 -benchmem ./internal/advisor; \
 	  $(GO) test -run xxx -bench BenchmarkReplay -benchtime 300x -count 3 -benchmem ./internal/advisor; \
 	  $(GO) test -run xxx -bench StoreAppend -benchtime 6400x -count 3 -benchmem ./internal/store ./internal/cluster; \
+	  $(GO) test -run xxx -bench StoreReplay -benchtime 300x -count 3 -benchmem ./internal/store ./internal/cluster; \
 	  $(GO) test -run xxx -bench EngineTraceCache -benchtime 1000x -count 3 -benchmem .; }
 
 bench-json:

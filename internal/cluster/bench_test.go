@@ -12,8 +12,8 @@ import (
 
 // BenchmarkRemoteStoreReplay measures RemoteStore.Replay of one
 // 282-record session log (storetest.History) from a StoreServer over a
-// FileStore: the backend replay, the response encoding, one loopback
-// HTTP exchange and the client's decoding — the wire share of a
+// FileStore: the backend replay, one loopback HTTP exchange carrying
+// the log's bytes and the client's decoding — the wire share of a
 // replica's session restore.
 func BenchmarkRemoteStoreReplay(b *testing.B) {
 	ctx := context.Background()
@@ -46,7 +46,7 @@ func BenchmarkRemoteStoreReplay(b *testing.B) {
 }
 
 // BenchmarkRemoteStoreAppend is the append rung over the wire: a
-// RemoteStore with the default HTTP client, a StoreServer on a loopback
+// RemoteStore with its default HTTP client, a StoreServer on a loopback
 // listener, and a FileStore on /dev/shm where it exists.
 func BenchmarkRemoteStoreAppend(b *testing.B) {
 	storetest.BenchAppend(b, func(b *testing.B) store.SessionLog {

@@ -17,14 +17,26 @@
 // A replay response is one such envelope frame — a domain error, or the
 // number of records that follow — and then the session's log image:
 // its created record and one record per step, in the log's own framing
-// and canonical record encoding (store.AppendSessionImage). The client
-// reads the image with the code FileStore.Replay reads a log file with
+// and canonical record encoding (store.SessionReplay.Image). From a
+// FileStore that image is the log's bytes as stored, up to the last
+// acknowledged record, which the backend's Replay has just read and
+// checked; nothing is encoded again. The client reads the image with
+// the code FileStore.Replay reads a log file with
 // (store.DecodeSessionImage), so the log grammar and every record check
 // hold at both ends. An image holding more or fewer records than the
 // envelope announces is a *store.CorruptError, never a shorter history.
 // The image is larger than the step array earlier versions sent, at
 // worst 1.65 times, so a replay response may be 5/3 of the 32 MiB cap
 // on every other message.
+//
+// Every reply of the store server carries its Content-Length. The
+// client reads a reply into one buffer of that length: a length past
+// the cap answers ErrResponseTooLarge before a byte of the body is
+// read, and a body that ends short of its length is an outage
+// (store.ErrUnavailable), retried like one. A reply of unknown length,
+// which only an intermediary would produce, is read up to the cap. The
+// clients NewRemote and NewForwarder build share one transport, which
+// keeps up to 256 idle connections per host.
 //
 // chkpt-store and chkpt-serve are upgraded together. A replica and a
 // store server of different versions fail every replay with a typed

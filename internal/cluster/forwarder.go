@@ -63,7 +63,7 @@ func NewForwarder(backends []string, logger *slog.Logger) (*Forwarder, error) {
 	// No Timeout on the client: sweep streams run as long as they run.
 	// The transport still fails fast on refused connections, which is
 	// the failover signal.
-	return &Forwarder{backends: parsed, client: &http.Client{}, log: logger}, nil
+	return &Forwarder{backends: parsed, client: &http.Client{Transport: transport}, log: logger}, nil
 }
 
 // hopHeaders are the hop-by-hop headers a forwarder must not copy.
@@ -142,6 +142,11 @@ func (f *Forwarder) try(r *http.Request, backend *url.URL, body []byte) (*http.R
 	return f.client.Do(out)
 }
 
+// relayBuffer is the largest buffer relay reads a response through: the
+// whole of a smaller reply of known length, a chunk of a larger one or
+// of a stream.
+const relayBuffer = 32 << 10
+
 // relay copies one response through, flushing after every chunk so
 // streamed NDJSON rows reach the client as they are produced.
 func (f *Forwarder) relay(w http.ResponseWriter, resp *http.Response) {
@@ -157,7 +162,11 @@ func (f *Forwarder) relay(w http.ResponseWriter, resp *http.Response) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	fl, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
+	size := int64(relayBuffer)
+	if n := resp.ContentLength; n >= 0 && n < size {
+		size = max(n, 1) // a Read into an empty buffer need not report EOF
+	}
+	buf := make([]byte, size)
 	for {
 		n, err := resp.Body.Read(buf)
 		if n > 0 {

@@ -1,13 +1,18 @@
 package cluster_test
 
 import (
+	"bufio"
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 )
@@ -198,4 +203,139 @@ func TestForwarderRelaysBackendErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want the backend's 503", resp.StatusCode)
 	}
+}
+
+// TestForwarderRelaysSizedAndStreamed: replies of declared length,
+// which the forwarder reads through a buffer of their size (or 32 KB
+// chunks past that), and NDJSON streams of unknown length come through
+// byte for byte while relayed concurrently; each stream's first row
+// reaches the client before the backend writes the rest, so the
+// forwarder still flushes per chunk.
+func TestForwarderRelaysSizedAndStreamed(t *testing.T) {
+	sizes := []int{0, 1, 317, 25 << 10, 32 << 10, 40 << 10}
+	sized := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('a' + i%26)
+		}
+		return b
+	}
+	// A stream's rows after the first add up to more than one 32 KB chunk.
+	row := func(id string, i int) string {
+		return fmt.Sprintf("{\"id\":%q,\"row\":%d,\"pad\":%q}\n", id, i, strings.Repeat("x", i*1500))
+	}
+	const rows = 8
+	var firstRead sync.Map // stream id -> chan struct{}, closed once its first row arrived
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		switch r.URL.Path {
+		case "/sized":
+			n, _ := strconv.Atoi(q.Get("n"))
+			w.Header().Set("Content-Length", strconv.Itoa(n))
+			_, _ = w.Write(sized(n))
+		case "/stream":
+			id := q.Get("id")
+			ch, ok := firstRead.Load(id)
+			if !ok {
+				http.Error(w, "unknown stream", http.StatusBadRequest)
+				return
+			}
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			_, _ = io.WriteString(w, row(id, 0))
+			w.(http.Flusher).Flush()
+			select {
+			case <-ch.(chan struct{}):
+			case <-r.Context().Done():
+				return
+			}
+			for i := 1; i < rows; i++ {
+				_, _ = io.WriteString(w, row(id, i))
+				w.(http.Flusher).Flush()
+			}
+		}
+	}))
+	t.Cleanup(backend.Close)
+	fw, err := cluster.NewForwarder([]string{backend.URL}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(fw)
+	t.Cleanup(front.Close)
+
+	get := func(ctx context.Context, path string) (*http.Response, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, front.URL+path, nil)
+		if err != nil {
+			return nil, err
+		}
+		return http.DefaultClient.Do(req)
+	}
+	checkSized := func(ctx context.Context, n int) error {
+		resp, err := get(ctx, "/sized?n="+strconv.Itoa(n))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		switch {
+		case err != nil:
+			return err
+		case resp.ContentLength != int64(n):
+			return fmt.Errorf("sized %d: Content-Length %d", n, resp.ContentLength)
+		case !bytes.Equal(body, sized(n)):
+			return fmt.Errorf("sized %d: relayed %d different bytes", n, len(body))
+		}
+		return nil
+	}
+	checkStream := func(ctx context.Context, id string) error {
+		ch := make(chan struct{})
+		firstRead.Store(id, ch)
+		resp, err := get(ctx, "/stream?id="+id)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		br := bufio.NewReader(resp.Body)
+		// The backend writes nothing more until this row has arrived: an
+		// unflushed row would stall here until the context expires.
+		first, err := br.ReadString('\n')
+		if err != nil {
+			return fmt.Errorf("stream %s: first row: %w", id, err)
+		}
+		close(ch)
+		rest, err := io.ReadAll(br)
+		if err != nil {
+			return err
+		}
+		var want strings.Builder
+		for i := range rows {
+			want.WriteString(row(id, i))
+		}
+		if got := first + string(rest); got != want.String() {
+			return fmt.Errorf("stream %s: relayed %d bytes, want %d", id, len(got), want.Len())
+		}
+		return nil
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for c := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range 3 {
+				for i, n := range sizes {
+					if err := checkSized(ctx, n); err != nil {
+						t.Error(err)
+					}
+					if i%3 == 0 {
+						if err := checkStream(ctx, fmt.Sprintf("c%d-r%d-%d", c, round, i)); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -35,11 +35,29 @@ const (
 	statsRPCTimeout   = 2 * time.Second
 )
 
+// idleConnsPerHost is how many idle connections the shared transport
+// keeps per host. http.DefaultTransport keeps 2, so under more than two
+// concurrent callers each further call dials a connection and drops it
+// afterwards; 256 covers a replica's concurrent appends.
+const idleConnsPerHost = 256
+
+// transport is the one transport of the clients NewRemote and
+// NewForwarder build: http.DefaultTransport's settings with a larger
+// idle pool per host and no bound across hosts. Sharing it keeps idle
+// connections reusable across the RemoteStores of a process.
+var transport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = idleConnsPerHost
+	t.MaxIdleConns = 0
+	return t
+}()
+
 // RemoteConfig configures a RemoteStore.
 type RemoteConfig struct {
 	// BaseURL is the store server's address, e.g. "http://127.0.0.1:9090".
 	BaseURL string
-	// Client is the HTTP client to use. Nil builds a plain one.
+	// Client is the HTTP client to use. Nil selects one on the package's
+	// shared transport.
 	Client *http.Client
 	// Timeout bounds each RPC attempt (0 = default 5s).
 	Timeout time.Duration
@@ -87,7 +105,7 @@ func NewRemote(cfg RemoteConfig) (*RemoteStore, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{}
+		client = &http.Client{Transport: transport}
 	}
 	timeout := cfg.Timeout
 	if timeout <= 0 {
@@ -170,7 +188,7 @@ func (r *RemoteStore) roundTrip(ctx context.Context, op string, req *wireRequest
 	if op == opReplay {
 		limit = maxReplayBytes
 	}
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, int64(limit)+1))
+	body, over, err := readBody(httpResp, limit)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("cluster: %s: %w", op, cerr)
@@ -180,10 +198,10 @@ func (r *RemoteStore) roundTrip(ctx context.Context, op string, req *wireRequest
 	switch {
 	case httpResp.StatusCode == http.StatusOK:
 		// Distinguish an over-cap response from a damaged one before
-		// decoding: the LimitReader truncates anything larger than the
-		// wire cap, and a truncated frame would misdecode as corruption —
-		// permanent, never retried — when the backend's copy is intact.
-		if len(body) > limit {
+		// decoding: readBody keeps at most limit+1 bytes, and a truncated
+		// frame would misdecode as corruption — permanent, never retried —
+		// when the backend's copy is intact.
+		if over {
 			return nil, fmt.Errorf("cluster: %s %s: %w (cap %d bytes)",
 				op, r.base.Host, ErrResponseTooLarge, limit)
 		}
@@ -204,6 +222,25 @@ func (r *RemoteStore) roundTrip(ctx context.Context, op string, req *wireRequest
 		return nil, fmt.Errorf("cluster: %s %s: status %d: %w",
 			op, r.base.Host, httpResp.StatusCode, store.ErrUnavailable)
 	}
+}
+
+// readBody reads a response body whole. A body of declared length is
+// read into one buffer of that length, and one cut short of it answers
+// io.ErrUnexpectedEOF; a declared length past limit reports over
+// without reading a byte. A body of unknown length is read up to limit+1
+// bytes, over reporting that it went past limit.
+func readBody(resp *http.Response, limit int) (body []byte, over bool, err error) {
+	n := resp.ContentLength
+	switch {
+	case n > int64(limit):
+		return nil, true, nil
+	case n >= 0:
+		body = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, body)
+		return body, false, err
+	}
+	body, err = io.ReadAll(io.LimitReader(resp.Body, int64(limit)+1))
+	return body, len(body) > limit, err
 }
 
 // callIdempotent retries an idempotent operation on ErrUnavailable

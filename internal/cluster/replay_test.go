@@ -5,11 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path"
+	"path/filepath"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,5 +223,184 @@ func TestRemoteReplayNearOldCap(t *testing.T) {
 	}
 	if len(rep.Steps) != n || !rep.Steps[n-1].Advised {
 		t.Fatalf("replayed %d steps, want %d markers", len(rep.Steps), n)
+	}
+}
+
+// TestReplayServesLogBytes: after its envelope, the reply to a replay
+// is the session's log file byte for byte — for a log of events alone,
+// one with advised markers, and one the replay repaired from a torn
+// tail, whose reply ends at its last acknowledged record — and the
+// reply carries its length.
+func TestReplayServesLogBytes(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	fs, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, steps := storetest.History()
+	var events []advisor.ReplayStep
+	for _, s := range steps {
+		if !s.Advised {
+			events = append(events, s)
+		}
+	}
+	for id, h := range map[string][]advisor.ReplayStep{"clean": events, "advised": steps, "torn": steps} {
+		if err := storetest.WriteHistory(ctx, fs, id, ss, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logPath := func(id string) string { return filepath.Join(dir, "sessions", id+".log") }
+	acked, err := os.ReadFile(logPath("torn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A crash mid-append leaves half a record after the acknowledged ones.
+	f, err := os.OpenFile(logPath("torn"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte(`0badc0de {"kind":"ev`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fs, err = store.Open(dir, store.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	hs := httptest.NewServer(cluster.NewStoreServer(cluster.ServerConfig{Backend: fs}).Handler())
+	t.Cleanup(hs.Close)
+
+	for _, id := range []string{"clean", "advised", "torn"} {
+		resp, err := http.Post(hs.URL+"/store/v1/replay", "application/x-ndjson",
+			bytes.NewReader(store.EncodeFrame([]byte(`{"id":"`+id+`"}`))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", id, resp.StatusCode, err)
+		}
+		if resp.ContentLength != int64(len(body)) {
+			t.Errorf("%s: Content-Length %d, body %d bytes", id, resp.ContentLength, len(body))
+		}
+		image := body[bytes.IndexByte(body, '\n')+1:]
+		file, err := os.ReadFile(logPath(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(image, file) {
+			t.Errorf("%s: reply image of %d bytes differs from the %d-byte log file", id, len(image), len(file))
+		}
+		if id == "torn" && !bytes.Equal(image, acked) {
+			t.Errorf("torn: reply image of %d bytes, want the %d acknowledged bytes", len(image), len(acked))
+		}
+	}
+}
+
+// cutFirstReply serves inner, counting replay attempts, but sends only
+// the first half of the first replay reply while declaring its whole
+// length: the connection closes before the body is complete.
+func cutFirstReply(inner http.Handler, attempts *atomic.Int32) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if path.Base(r.URL.Path) == "replay" && attempts.Add(1) == 1 {
+			body = body[:len(body)/2]
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(rec.Body.Len()))
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(body)
+	})
+}
+
+// TestRemoteReplayShortReply: a reply that ends before its
+// Content-Length is an outage, not corruption: the replay is retried,
+// and the next whole reply restores the session. Without retries the
+// cut answers ErrUnavailable.
+func TestRemoteReplayShortReply(t *testing.T) {
+	ctx := context.Background()
+	be := store.NewMem()
+	t.Cleanup(func() { be.Close() })
+	ss, steps := storetest.History()
+	if err := storetest.WriteHistory(ctx, be, "s", ss, steps); err != nil {
+		t.Fatal(err)
+	}
+	inner := cluster.NewStoreServer(cluster.ServerConfig{Backend: be}).Handler()
+
+	var attempts atomic.Int32
+	hs := httptest.NewServer(cutFirstReply(inner, &attempts))
+	t.Cleanup(hs.Close)
+	rs, err := cluster.NewRemote(cluster.RemoteConfig{BaseURL: hs.URL, Retries: 2, Backoff: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rs.Replay(ctx, "s")
+	if err != nil {
+		t.Fatalf("replay after one cut reply: %v", err)
+	}
+	if len(rep.Steps) != len(steps) {
+		t.Fatalf("replayed %d steps, want %d", len(rep.Steps), len(steps))
+	}
+	if got := attempts.Load(); got != 2 {
+		t.Fatalf("replay attempts = %d, want 2 (the cut one retried)", got)
+	}
+
+	var attempts1 atomic.Int32
+	hs1 := httptest.NewServer(cutFirstReply(inner, &attempts1))
+	t.Cleanup(hs1.Close)
+	rs1, err := cluster.NewRemote(cluster.RemoteConfig{BaseURL: hs1.URL, Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rs1.Replay(ctx, "s")
+	if !errors.Is(err, store.ErrUnavailable) {
+		t.Fatalf("cut reply without retries: %v, want ErrUnavailable", err)
+	}
+	var ce *store.CorruptError
+	if errors.As(err, &ce) {
+		t.Fatal("cut reply misclassified as corruption")
+	}
+}
+
+// TestRemoteReplayOverCapLength: a reply whose Content-Length is past
+// the replay cap answers ErrResponseTooLarge from its header, after one
+// attempt, without reading the body: this one's body never comes, so a
+// client that waited for it would time out instead.
+func TestRemoteReplayOverCapLength(t *testing.T) {
+	release := make(chan struct{})
+	var attempts atomic.Int32
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		attempts.Add(1)
+		w.Header().Set("Content-Length", strconv.Itoa(cluster.MaxReplayBytes+1))
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(hs.Close)
+	t.Cleanup(func() { close(release) }) // before hs.Close, which waits for the handler
+	rs, err := cluster.NewRemote(cluster.RemoteConfig{BaseURL: hs.URL, Retries: 2, Backoff: 1, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rs.Replay(context.Background(), "s")
+	if !errors.Is(err, cluster.ErrResponseTooLarge) {
+		t.Fatalf("over-cap Content-Length: %v, want ErrResponseTooLarge", err)
+	}
+	if errors.Is(err, store.ErrUnavailable) {
+		t.Fatal("over-cap reply misclassified as unavailability")
+	}
+	if got := attempts.Load(); got != 1 {
+		t.Fatalf("attempts = %d, want 1 (an over-cap reply is not retried)", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -88,9 +89,10 @@ func (sv *StoreServer) Handler() http.Handler { return sv.handler }
 
 // handleOp decodes one framed operation, dispatches it against the
 // backend, and answers one framed response envelope, followed for a
-// successful replay by the session's log image. Domain errors ride
-// inside the 200; only an undecodable request (which was not executed,
-// so the client may treat it as never sent) is a plain-text 400.
+// successful replay by the session's log image, with the reply's
+// Content-Length set. Domain errors ride inside the 200; only an
+// undecodable request (which was not executed, so the client may treat
+// it as never sent) is a plain-text 400.
 func (sv *StoreServer) handleOp(w http.ResponseWriter, r *http.Request) {
 	op := r.PathValue("op")
 	obs.SpanFrom(r.Context()).SetAttr("op", op)
@@ -116,6 +118,7 @@ func (sv *StoreServer) handleOp(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)+len(resp.image)))
 	_, _ = w.Write(frame)
 	_, _ = w.Write(resp.image)
 }
@@ -160,7 +163,7 @@ func (sv *StoreServer) dispatch(ctx context.Context, op string, req *wireRequest
 		if err != nil {
 			return fail(err)
 		}
-		image, err := store.AppendSessionImage(nil, rep)
+		image, err := rep.Image()
 		if err != nil {
 			return fail(err)
 		}

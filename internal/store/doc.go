@@ -75,10 +75,20 @@
 // carry — an event of an unknown kind or with a non-finite time or
 // work, a spec whose JSON does not decode back to itself — is refused
 // at append, before it is acknowledged. The store server sends a
-// replay as the session's log image (AppendSessionImage), which the
+// replay as the session's log image (SessionReplay.Image), which the
 // client reads with the code Replay uses on a file
 // (DecodeSessionImage): a log record and a replayed step on the wire
 // are one encoding.
+//
+// Because the decoder accepts only canonical records, the bytes a
+// replay was decoded from are its image, byte for byte. A replay
+// therefore keeps them: FileStore.Replay the log up to its last
+// acknowledged record (after any torn-tail repair), DecodeSessionImage
+// the image it was given. Image answers those bytes and encodes
+// nothing; only a replay that was never decoded from bytes, such as
+// MemStore's, is encoded with AppendSessionImage when asked. Every
+// record is still decoded and checked at each end before its bytes are
+// served or accepted.
 //
 // Segment files rotate at Options.SegmentBytes; only the last (active)
 // segment may carry a torn tail — a torn or corrupt sealed segment is an

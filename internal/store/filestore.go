@@ -546,6 +546,9 @@ func (st *FileStore) loadLocked(s *fsSession, id string) (*SessionReplay, error)
 	case err != nil:
 		return nil, fmt.Errorf("store: replay session %s: %w", id, err)
 	}
+	// The acknowledged records, every one checked and canonical, are the
+	// replay's image as they stand: serving it encodes nothing again.
+	rep.image = data[:s.size:s.size]
 	s.open = true
 	return rep, nil
 }

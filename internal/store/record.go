@@ -427,6 +427,7 @@ func AppendSessionImage(dst []byte, rep *SessionReplay) ([]byte, error) {
 // checks FileStore.Replay applies to a log file. A torn image, or one
 // with more or fewer records, is a *CorruptError (offsets are relative
 // to image), so a truncated image is never taken for a shorter history.
+// The replay keeps image as its Image, so the caller must not modify it.
 func DecodeSessionImage(image []byte, records int) (*SessionReplay, error) {
 	frames, torn, err := decodeFrames(image)
 	switch {
@@ -438,7 +439,12 @@ func DecodeSessionImage(image []byte, records int) (*SessionReplay, error) {
 		return nil, &CorruptError{Offset: len(image),
 			Reason: fmt.Sprintf("image holds %d records, want %d (at least 1)", len(frames), records)}
 	}
-	return replayRecords(frames)
+	rep, err := replayRecords(frames)
+	if err != nil {
+		return nil, err
+	}
+	rep.image = image
+	return rep, nil
 }
 
 // EncodeFrame frames one payload with the store's CRC discipline:

@@ -214,7 +214,8 @@ func TestFileStoreRefusesUncanonicalRecords(t *testing.T) {
 }
 
 // TestSessionImageRoundTrip: an image decodes back to the replay it
-// records, and only as an image of exactly its record count.
+// records, whose Image is that image, and only as an image of exactly
+// its record count.
 func TestSessionImageRoundTrip(t *testing.T) {
 	rep := &SessionReplay{Spec: testSessionSpec(), Steps: []advisor.ReplayStep{
 		fxAdvised(),
@@ -230,8 +231,11 @@ func TestSessionImageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, rep) {
+	if !reflect.DeepEqual(got.Spec, rep.Spec) || !reflect.DeepEqual(got.Steps, rep.Steps) {
 		t.Fatalf("decoded %+v, want %+v", got, rep)
+	}
+	if img, err := got.Image(); err != nil || !bytes.Equal(img, image) {
+		t.Fatalf("decoded replay's image: %q, %v; want the image it was decoded from", img, err)
 	}
 	var ce *CorruptError
 	for _, tc := range []struct {

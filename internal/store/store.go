@@ -34,6 +34,22 @@ type SessionReplay struct {
 	// Steps are the recorded events and decision points, oldest first —
 	// exactly what Advisor.ReplaySession consumes.
 	Steps []advisor.ReplayStep
+
+	// image is the log image Spec and Steps were decoded from, when they
+	// were decoded from one (FileStore.Replay, DecodeSessionImage).
+	image []byte
+}
+
+// Image returns the session's log image, as AppendSessionImage writes
+// it. A replay decoded from bytes (FileStore.Replay, DecodeSessionImage)
+// answers those bytes, already checked and canonical, without encoding
+// anything; they describe Spec and Steps as decoded, and the caller must
+// not modify them. Any other replay is encoded afresh.
+func (rep *SessionReplay) Image() ([]byte, error) {
+	if rep.image != nil {
+		return rep.image, nil
+	}
+	return AppendSessionImage(nil, rep)
 }
 
 // SessionLog is the append-only session journal. Appends for a session

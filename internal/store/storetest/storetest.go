@@ -1,13 +1,17 @@
 // Package storetest exports the backend-agnostic conformance suite for
-// the store.LeaseStore contract. MemStore, FileStore and the cluster
-// RemoteStore all run the identical suite, so "lease" means exactly one
-// thing no matter which backend a replica mounts — the property the
-// sweep-claim runner and the fencing design rest on.
+// the store.LeaseStore contract, plus the session replay's log image.
+// MemStore, FileStore and the cluster RemoteStore all run the identical
+// suite, so "lease" means exactly one thing no matter which backend a
+// replica mounts — the property the sweep-claim runner and the fencing
+// design rest on.
 package storetest
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -62,6 +66,7 @@ func RunLeaseSuite(t *testing.T, open func(t *testing.T) Harness) {
 		{"ReleaseThenReacquire", testReleaseThenReacquire},
 		{"PutLeasedAfterExpiryUnreclaimed", testPutLeasedAfterExpiryUnreclaimed},
 		{"DegenerateArgs", testDegenerateArgs},
+		{"ReplayImage", testReplayImage},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -243,5 +248,46 @@ func testDegenerateArgs(t *testing.T, h Harness) {
 	}
 	if err := h.Store.PutLeased(ctxb(), store.Lease{Key: "k", Owner: "w", Token: 7}, "k", []byte("v")); !errors.Is(err, store.ErrLeaseStale) {
 		t.Fatalf("synthesized-token put: %v, want ErrLeaseStale", err)
+	}
+}
+
+// testReplayImage: a replay's Image is its session's log image, whether
+// the backend kept the bytes it decoded or encodes them afresh: it
+// decodes back to the same spec and steps, and it equals
+// AppendSessionImage's encoding of the replay.
+func testReplayImage(t *testing.T, h Harness) {
+	ss, steps := History()
+	if err := WriteHistory(ctxb(), h.Store, "image", ss, steps); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := h.Store.Replay(ctxb(), "image")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := rep.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := store.DecodeSessionImage(img, 1+len(steps))
+	if err != nil {
+		t.Fatalf("image does not decode: %v", err)
+	}
+	if !reflect.DeepEqual(back.Spec, rep.Spec) || len(back.Steps) != len(steps) {
+		t.Fatalf("image decodes to spec %+v and %d steps, want %+v and %d", back.Spec, len(back.Steps), rep.Spec, len(steps))
+	}
+	for i, s := range back.Steps {
+		want := steps[i]
+		if s.Advised != want.Advised || s.Event.Kind != want.Event.Kind || s.Event.Unit != want.Event.Unit ||
+			math.Float64bits(s.Event.Time) != math.Float64bits(want.Event.Time) ||
+			math.Float64bits(s.Event.Work) != math.Float64bits(want.Event.Work) {
+			t.Fatalf("image step %d = %+v, want %+v", i, s, want)
+		}
+	}
+	enc, err := store.AppendSessionImage(nil, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img, enc) {
+		t.Fatalf("image of %d bytes differs from AppendSessionImage's %d", len(img), len(enc))
 	}
 }
