@@ -40,10 +40,16 @@ func (a *Advisor) PolicyName() string { return a.name }
 // NewSession mints an independent session over a fresh policy instance.
 // History seeds pre-start failures, in chronological order.
 func (a *Advisor) NewSession(history ...PastFailure) (*Session, error) {
+	return a.newSession(history, len(history))
+}
+
+// newSession is NewSession with the renewal bookkeeping sized for the
+// given number of failures, the history's included.
+func (a *Advisor) newSession(history []PastFailure, failures int) (*Session, error) {
 	pol, err := a.newPolicy()
 	if err != nil {
 		return nil, err
 	}
 	job := a.job
-	return NewSession(Config{Job: &job, Policy: pol, History: history})
+	return newSession(Config{Job: &job, Policy: pol, History: history}, failures)
 }

@@ -205,15 +205,22 @@ func BenchmarkSessionDPNextFailureCommit(b *testing.B) {
 // Advisor.ReplaySession over storetest.History, the 282-record history
 // of a recover-cluster session. Under dpnextfailure the replay consults
 // the policy at the markers after the last recovered event; under young
-// it consults no marker and advises once at the end. One untimed replay
+// it consults no marker and advises once at the end. young-exascale
+// replays the young session on the 2^20 units of the exascale platform,
+// where what a session holds per unit would show. One untimed replay
 // first warms the shared planner, as a replica's first restore does.
 func BenchmarkReplaySessionHistory(b *testing.B) {
 	ss, steps := storetest.History()
-	for _, ps := range []spec.PolicySpec{ss.Policy, {Kind: "young"}} {
-		b.Run(ps.Kind, func(b *testing.B) {
-			s := *ss
-			s.Policy = ps
-			adv, err := spec.CompileAdvisor(context.Background(), engine.New(engine.Config{Cache: engine.NewCache(0)}), &s)
+	young := *ss
+	young.Policy = spec.PolicySpec{Kind: "young"}
+	exascale := young
+	exascale.Scenario.Platform, exascale.Scenario.P = spec.PlatformRef{Preset: "exascale"}, 1<<20
+	for _, c := range []struct {
+		name string
+		ss   *spec.SessionSpec
+	}{{"dpnextfailure", ss}, {"young", &young}, {"young-exascale", &exascale}} {
+		b.Run(c.name, func(b *testing.B) {
+			adv, err := spec.CompileAdvisor(context.Background(), engine.New(engine.Config{Cache: engine.NewCache(0)}), c.ss)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -49,21 +49,37 @@ type State struct {
 	Remaining float64 // work not yet committed to a checkpoint
 	Failures  int     // failures observed so far during this execution
 
-	// LastRenewal[u] is the absolute time at which unit u last began a
-	// lifetime: 0 if it never failed, otherwise failure time + D (§2.1: a
-	// unit starts a fresh lifetime at the beginning of the recovery
-	// period). Policies must treat it as read-only.
-	LastRenewal []float64
-
 	// FailedUnits lists the distinct units that have failed at least once,
-	// in first-failure order. Units not listed have LastRenewal 0, i.e.
-	// their age is simply Now. This lets policies on million-unit
-	// platforms build their state in O(#failed) instead of O(#units).
+	// in first-failure order, and Renewals[i] is the absolute time at
+	// which FailedUnits[i] last began a lifetime, its last failure time
+	// plus D (§2.1: a unit starts a fresh lifetime at the beginning of the
+	// recovery period). A unit not listed began its lifetime at 0, so its
+	// age is simply Now: the state is O(#failed), not O(#units). Policies
+	// must treat both as read-only.
 	FailedUnits []int32
+	Renewals    []float64
+	pos         map[int32]int32 // unit → position in FailedUnits (Renew)
 }
 
-// Tau returns the time elapsed since unit u's last renewal.
-func (s *State) Tau(u int) float64 { return s.Now - s.LastRenewal[u] }
+// Age returns the time elapsed since the last renewal of FailedUnits[i].
+func (s *State) Age(i int) float64 { return s.Now - s.Renewals[i] }
+
+// Renew books a failure that gives unit u a fresh lifetime from at,
+// listing u in FailedUnits on its first failure. Sessions and the
+// simulator call it, never a policy; its index takes the capacity
+// FailedUnits has at the first failure.
+func (s *State) Renew(u int32, at float64) {
+	if i, ok := s.pos[u]; ok {
+		s.Renewals[i] = at
+		return
+	}
+	if s.pos == nil {
+		s.pos = make(map[int32]int32, cap(s.FailedUnits))
+	}
+	s.pos[u] = int32(len(s.FailedUnits))
+	s.FailedUnits = append(s.FailedUnits, u)
+	s.Renewals = append(s.Renewals, at)
+}
 
 // Policy decides the size of the next chunk to execute before
 // checkpointing.

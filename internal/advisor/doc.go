@@ -16,9 +16,9 @@
 //     failure still loses it);
 //   - checkpointed: a chunk and its checkpoint committed (Remaining
 //     shrinks, CommitObserver policies advance their walk);
-//   - failure: a unit failed (renewal bookkeeping per §2.1 — the unit
-//     begins a fresh lifetime at failure time + D; the session enters an
-//     outage, during which further failures may arrive);
+//   - failure: a unit failed (§2.1: it begins a fresh lifetime at failure
+//     time + D, kept in State.Renewals for failed units only; the session
+//     enters an outage, during which further failures may arrive);
 //   - recovered: the checkpoint restore completed (the outage ends and
 //     FailureObserver policies re-plan, exactly where the simulator
 //     invoked them).

@@ -38,7 +38,13 @@ type ReplayStep struct {
 // steps. A step that fails to re-apply indicates a corrupt or
 // out-of-order log and is reported with its index.
 func (a *Advisor) ReplaySession(history []PastFailure, steps []ReplayStep) (*Session, error) {
-	s, err := a.NewSession(history...)
+	failures := len(history)
+	for _, st := range steps {
+		if !st.Advised && st.Event.Kind == EventFailure {
+			failures++
+		}
+	}
+	s, err := a.newSession(history, failures)
 	if err != nil {
 		return nil, err
 	}

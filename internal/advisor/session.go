@@ -169,12 +169,6 @@ type Session struct {
 	// workEps is the completion threshold: remaining work below it is
 	// floating-point residue, matching the simulator's convention.
 	workEps float64
-	// seenFailed[u] records that unit u is already in FailedUnits. The
-	// trace replay historically used LastRenewal[u] == 0 as the sentinel,
-	// which misfires when an event-fed failure renews at exactly 0 (D=0,
-	// Time=-D): the unit would be appended twice and skew the §3.3 age
-	// groups. An explicit bit per unit is exact for arbitrary events.
-	seenFailed []bool
 	// attempted accumulates uncommitted progress since the last decision
 	// point, for the no-progress-past-Remaining validation.
 	attempted float64
@@ -187,7 +181,11 @@ type Session struct {
 // NewSession validates the configuration, starts the policy and returns a
 // session positioned at the job release (or at the end of any downtime
 // the history left pending).
-func NewSession(cfg Config) (*Session, error) {
+func NewSession(cfg Config) (*Session, error) { return newSession(cfg, len(cfg.History)) }
+
+// newSession is NewSession with the renewal bookkeeping sized for the
+// given number of failures, the history's included.
+func newSession(cfg Config, failures int) (*Session, error) {
 	if cfg.Job == nil {
 		return nil, errors.New("advisor: config needs a job")
 	}
@@ -212,13 +210,14 @@ func NewSession(cfg Config) (*Session, error) {
 	if err := s.pol.Start(&s.job); err != nil {
 		return nil, &StartError{Policy: s.pol.Name(), Err: err}
 	}
+	n := min(failures, s.job.Units)
 	s.state = State{
 		Job:         &s.job,
 		Now:         s.job.Start,
 		Remaining:   s.job.Work,
-		LastRenewal: make([]float64, s.job.Units),
+		FailedUnits: make([]int32, 0, n),
+		Renewals:    make([]float64, 0, n),
 	}
-	s.seenFailed = make([]bool, s.job.Units)
 	// Replay the pre-start failure history: it sets renewal times and may
 	// leave a downtime barrier past the release date, exactly like the
 	// simulator's pre-release trace processing.
@@ -236,8 +235,9 @@ func NewSession(cfg Config) (*Session, error) {
 			return nil, fmt.Errorf("advisor: history is not in chronological order (%v after %v)", h.Time, last)
 		}
 		last = h.Time
-		s.markFailed(h.Unit, h.Time)
-		if up := h.Time + s.job.D; up > barrier {
+		up := h.Time + s.job.D
+		s.state.Renew(int32(h.Unit), up)
+		if up > barrier {
 			barrier = up
 		}
 	}
@@ -245,15 +245,6 @@ func NewSession(cfg Config) (*Session, error) {
 		s.state.Now = barrier
 	}
 	return s, nil
-}
-
-// markFailed books a failure's renewal time for unit u at time t.
-func (s *Session) markFailed(u int, t float64) {
-	if !s.seenFailed[u] {
-		s.seenFailed[u] = true
-		s.state.FailedUnits = append(s.state.FailedUnits, int32(u))
-	}
-	s.state.LastRenewal[u] = t + s.job.D
 }
 
 // Advise returns the current recommendation: the chunk of work to execute
@@ -357,7 +348,7 @@ func (s *Session) Observe(ev Event) error {
 		}
 		s.state.Now = ev.Time
 		s.state.Failures++
-		s.markFailed(ev.Unit, ev.Time)
+		s.state.Renew(int32(ev.Unit), ev.Time+s.job.D)
 		s.attempted = 0
 		s.inOutage = true
 		s.hasDecision = false

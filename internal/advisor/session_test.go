@@ -3,6 +3,8 @@ package advisor
 import (
 	"errors"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -105,8 +107,8 @@ func TestSessionHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d3.Failures != 2 || pol.lastState.LastRenewal[2] != 75 || pol.lastState.LastRenewal[0] != 77 {
-		t.Fatalf("post-recovery state: %+v renewals %v", d3, pol.lastState.LastRenewal)
+	if st := pol.lastState; d3.Failures != 2 || !slices.Equal(st.FailedUnits, []int32{2, 0}) || !slices.Equal(st.Renewals, []float64{75, 77}) {
+		t.Fatalf("post-recovery state: %+v failed units %v renewals %v", d3, st.FailedUnits, st.Renewals)
 	}
 
 	// Drive to completion.
@@ -223,8 +225,8 @@ func TestSessionHistory(t *testing.T) {
 	if _, err := sess.Advise(); err != nil {
 		t.Fatal(err)
 	}
-	if pol.lastState.LastRenewal[1] != 8 || pol.lastState.LastRenewal[3] != 23 {
-		t.Fatalf("history renewals %v", pol.lastState.LastRenewal)
+	if st := pol.lastState; !slices.Equal(st.FailedUnits, []int32{1, 3}) || !slices.Equal(st.Renewals, []float64{8, 23}) {
+		t.Fatalf("history failed units %v renewals %v", st.FailedUnits, st.Renewals)
 	}
 
 	bad := []PastFailure{{Unit: 9, Time: 1}}
@@ -270,6 +272,68 @@ func TestSessionRepeatFailureAtZeroRenewalNotDuplicated(t *testing.T) {
 	if sess.Failures() != 3 {
 		t.Fatalf("failures = %d, want 3", sess.Failures())
 	}
+}
+
+// TestSessionMemoryIndependentOfUnits pins what a session holds to the
+// failures it has seen: creating one and feeding it three failures, or
+// restoring it from that history, allocates about the same bytes on 2^10
+// units as on 2^20.
+func TestSessionMemoryIndependentOfUnits(t *testing.T) {
+	var steps []ReplayStep
+	for i, u := range []int{3, 700, 3} {
+		at := float64(100 * (i + 1))
+		steps = append(steps,
+			ReplayStep{Advised: true},
+			ReplayStep{Event: Event{Kind: EventFailure, Time: at, Unit: u}},
+			ReplayStep{Event: Event{Kind: EventRecovered, Time: at + 20}})
+	}
+	measure := func(units int) (live, replayed uint64) {
+		job := &Job{Work: 1e6, C: 10, R: 7, D: 5, Units: units}
+		newPolicy := func() (Policy, error) { return &stubPolicy{chunk: 50}, nil }
+		adv, err := NewAdvisor(job, "stub", newPolicy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = allocatedBytes(func() {
+			pol, _ := newPolicy()
+			s, err := NewSession(Config{Job: job, Policy: pol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.replay(steps, 0, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+		replayed = allocatedBytes(func() {
+			if _, err := adv.ReplaySession(nil, steps); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return live, replayed
+	}
+	const bound = 64 << 10
+	liveS, replayS := measure(1 << 10)
+	liveL, replayL := measure(1 << 20)
+	if d := max(liveS, liveL) - min(liveS, liveL); d >= bound {
+		t.Errorf("a live session allocates %d bytes on 2^10 units and %d on 2^20", liveS, liveL)
+	}
+	if d := max(replayS, replayL) - min(replayS, replayL); d >= bound {
+		t.Errorf("a restore allocates %d bytes on 2^10 units and %d on 2^20", replayS, replayL)
+	}
+}
+
+// allocatedBytes returns the fewest bytes the heap grew by over three
+// calls of f.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 func TestSessionStartError(t *testing.T) {

@@ -256,10 +256,8 @@ func TestDPNextFailureSharedGrids(t *testing.T) {
 	// Two failed units + the never-failed group: 3 age groups, inside the
 	// shared-grid eligibility bound.
 	state := func() *sim.State {
-		renew := make([]float64, 8)
-		renew[1], renew[4] = 6e5, 3e5
 		return &sim.State{Job: job, Now: 1e6, Remaining: job.Work,
-			LastRenewal: renew, FailedUnits: []int32{1, 4}, Failures: 2}
+			Renewals: []float64{6e5, 3e5}, FailedUnits: []int32{1, 4}, Failures: 2}
 	}
 
 	p1 := e.DPNextFailure(planner)
@@ -321,10 +319,8 @@ func TestScopeSharedAcrossWorkers(t *testing.T) {
 		if err := p.Start(job); err != nil {
 			return out{}, err
 		}
-		renew := make([]float64, 8)
-		renew[1], renew[4] = 6e5, 3e5
 		chunk := p.NextChunk(&sim.State{Job: job, Now: 1e6, Remaining: job.Work,
-			LastRenewal: renew, FailedUnits: []int32{1, 4}, Failures: 2})
+			Renewals: []float64{6e5, 3e5}, FailedUnits: []int32{1, 4}, Failures: 2})
 		return out{set, chunk}, nil
 	})
 	if err != nil {

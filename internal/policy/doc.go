@@ -33,10 +33,11 @@
 // hundreds of traces concurrently against shared planning work.
 //
 // DPNextFailure re-plans incrementally: each session keeps scratch slabs
-// for the age groups, the survival grid and the DP value/argmin tables,
-// reuses the grid when its inputs are bitwise unchanged, and serves the
-// previous plan outright when the whole decision state is — so the
-// post-failure hot path is allocation-free and often solve-free. Grids of
+// for the age groups and the survival grid, borrows its DP value/argmin
+// tables per solve from a pool shared by all instances, reuses the grid
+// when its inputs are bitwise unchanged, and serves the previous plan
+// outright when the whole decision state is — so the post-failure hot
+// path is allocation-free and often solve-free. Grids of
 // at most four age groups can also be shared: the pristine state's across
 // planners through a process-wide cache (WithSharedGrids, wired by
 // engine.SharedGridOptions), and later states' across the instances of one

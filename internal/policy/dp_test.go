@@ -33,10 +33,10 @@ func bruteForceNextFailure(d dist.Distribution, taus []float64, c, u float64, x 
 }
 
 func dpState(job *sim.Job, now float64, renew []float64) *sim.State {
-	s := &sim.State{Job: job, Now: now, Remaining: job.Work, LastRenewal: renew}
+	s := &sim.State{Job: job, Now: now, Remaining: job.Work}
 	for u, r := range renew {
 		if r > 0 {
-			s.FailedUnits = append(s.FailedUnits, int32(u))
+			s.Renew(int32(u), r)
 		}
 	}
 	return s
@@ -422,7 +422,7 @@ func TestDPMakespanFirstChunkMatchesOptimalK(t *testing.T) {
 	if err := pol.Start(job); err != nil {
 		t.Fatal(err)
 	}
-	s := &sim.State{Job: job, Remaining: w, LastRenewal: []float64{0}}
+	s := &sim.State{Job: job, Remaining: w}
 	first := pol.NextChunk(s)
 	if math.Abs(first-period) > 2*table.Quantum() {
 		t.Errorf("first chunk %v vs optimal period %v (K*=%d, u=%v)", first, period, kStar, table.Quantum())

@@ -45,9 +45,10 @@ import (
 // bit-identical to the frozen from-scratch solver in
 // dpnextfailure_reference.go while removing its per-call cost:
 //
-//   - All DP state (value/argmin tables, the G(t) grid, the age-group
-//     buffers, the extracted plan) lives in per-instance preallocated
-//     slabs, so steady-state re-planning allocates nothing.
+//   - The age-group buffers, the G(t) grid and the extracted plan live
+//     in per-instance slabs; each solve borrows its value/argmin tables
+//     from a pool shared by every instance. Steady-state re-planning
+//     allocates nothing, and an idle instance holds no tables.
 //   - The horizon cap min(2*MTBF/p, 30 Young periods) is hoisted into
 //     Start — it depends only on the job, not the state.
 //   - The survival grid is rebuilt only when its inputs (age groups,
@@ -391,13 +392,7 @@ type replanScratch struct {
 	readsN   int
 	readsOK  bool
 
-	// DP slabs. val's first row (rem = 0) is all zeros and is never
-	// written by a solve; solvedX tracks the stride the slab was last used
-	// with so a resolution switch re-zeros exactly that row.
-	val     []float64
-	choice  []int32
-	iu      []float64 // iu[i] = float64(i) * u for the current solve
-	solvedX int
+	iu []float64 // iu[i] = float64(i) * u for the current solve
 
 	// The last extracted (untruncated) plan and the full input signature
 	// it was solved from; a bitwise match re-serves it without solving.
@@ -486,7 +481,7 @@ func (p *DPNextFailure) replan(s *sim.State) []float64 {
 		if p.solveHook != nil {
 			p.solveHook(key)
 		}
-		pl.solveInto(sc, x, c)
+		sc.solveInto(x, c)
 		if sc.grid != &sc.ownGrid {
 			sc.remember(key)
 		}
@@ -632,36 +627,39 @@ func (sc *replanScratch) setIU(x int, u float64) {
 	}
 }
 
+// dpTables are the value and argmin tables of one solve.
+type dpTables struct {
+	val    []float64
+	choice []int32
+}
+
+// dpTablePool lends every instance its tables for one solveInto only, so
+// an idle session holds none.
+var dpTablePool = sync.Pool{New: func() any { return new(dpTables) }}
+
 // solveInto runs the DP solve of x quanta (sc.iu, set by setIU) against
-// the current scratch grid, managing the value/argmin slabs, and leaves
-// the extracted plan in sc.plan.
-func (pl *DPNextFailurePlanner) solveInto(sc *replanScratch, x int, c float64) {
+// sc.grid on tables borrowed for the solve, leaves the extracted plan in
+// sc.plan and returns its value, the expected work before the next
+// failure.
+func (sc *replanScratch) solveInto(x int, c float64) float64 {
 	stride := x + 1
 	need := stride * stride
-	if cap(sc.val) < need || cap(sc.choice) < need {
-		sc.val = make([]float64, need) // zeroed: row 0 must stay zero
-		sc.choice = make([]int32, need)
-		sc.solvedX = x
-	} else {
-		sc.val = sc.val[:need]
-		sc.choice = sc.choice[:need]
-		if sc.solvedX != x {
-			// The slab was last indexed with a different stride, so this
-			// solve's row 0 may overlap cells the previous one wrote.
-			for i := 0; i < stride; i++ {
-				sc.val[i] = 0
-			}
-			sc.solvedX = x
-		}
+	t := dpTablePool.Get().(*dpTables)
+	defer dpTablePool.Put(t)
+	if cap(t.val) < need {
+		t.val, t.choice = make([]float64, need), make([]int32, need)
 	}
+	val, choice := t.val[:need], t.choice[:need]
+	// Row 0 (rem = 0) is read as all zeros and never written by a solve.
+	clear(val[:stride])
 
-	solveNextFailureDPInto(x, c, sc.grid, sc.val, sc.choice, sc.iu)
+	solveNextFailureDPInto(x, c, sc.grid, val, choice, sc.iu)
 
 	// Extract the plan from the initial state.
 	plan := sc.plan[:0]
 	rem, n := x, 0
 	for rem > 0 {
-		i := int(sc.choice[rem*stride+n])
+		i := int(choice[rem*stride+n])
 		if i <= 0 {
 			break
 		}
@@ -670,6 +668,7 @@ func (pl *DPNextFailurePlanner) solveInto(sc *replanScratch, x int, c float64) {
 		n++
 	}
 	sc.plan = plan
+	return val[x*stride]
 }
 
 // buildGroupsInto constructs the §3.3 approximate age state: the NExact
@@ -680,8 +679,8 @@ func (pl *DPNextFailurePlanner) solveInto(sc *replanScratch, x int, c float64) {
 // slice aliases sc.groups.
 func (pl *DPNextFailurePlanner) buildGroupsInto(s *sim.State, sc *replanScratch) []taugroup {
 	taus := sc.taus[:0]
-	for _, u := range s.FailedUnits {
-		taus = append(taus, s.Tau(int(u)))
+	for i := range s.FailedUnits {
+		taus = append(taus, s.Age(i))
 	}
 	sort.Float64s(taus)
 	sc.taus = taus
@@ -966,31 +965,15 @@ func solveNextFailureDPInto(x int, c float64, grid *survivalGrid, val []float64,
 	}
 }
 
-// solveNextFailureDP solves with freshly allocated tables and returns the
-// optimal chunk plan along with its objective value, the expected work
-// before the next failure. Kept for callers outside the warm path.
+// solveNextFailureDP solves x quanta of size u on grid and returns a
+// freshly allocated optimal chunk plan along with its objective value,
+// the expected work before the next failure. Kept for callers outside
+// the warm path.
 func solveNextFailureDP(x int, u, c float64, grid *survivalGrid) ([]float64, float64) {
-	stride := x + 1
-	val := make([]float64, stride*stride)
-	choice := make([]int32, stride*stride)
-	iu := make([]float64, stride)
-	for i := range iu {
-		iu[i] = float64(i) * u
-	}
-	solveNextFailureDPInto(x, c, grid, val, choice, iu)
-
-	var plan []float64
-	rem, n := x, 0
-	for rem > 0 {
-		i := int(choice[rem*stride+n])
-		if i <= 0 {
-			break
-		}
-		plan = append(plan, iu[i])
-		rem -= i
-		n++
-	}
-	return plan, val[x*stride]
+	sc := &replanScratch{grid: grid}
+	sc.setIU(x, u)
+	v := sc.solveInto(x, c)
+	return sc.plan, v
 }
 
 // buildGroups constructs the §3.3 age-group state with fresh buffers.

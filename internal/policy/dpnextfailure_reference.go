@@ -46,8 +46,8 @@ func (pl *DPNextFailurePlanner) replanReference(s *sim.State) []float64 {
 // buildGroupsReference is the frozen §3.3 age-group construction.
 func (pl *DPNextFailurePlanner) buildGroupsReference(s *sim.State) []taugroup {
 	taus := make([]float64, 0, len(s.FailedUnits))
-	for _, u := range s.FailedUnits {
-		taus = append(taus, s.Tau(int(u)))
+	for i := range s.FailedUnits {
+		taus = append(taus, s.Age(i))
 	}
 	sort.Float64s(taus)
 	neverCount := s.Job.Units - len(taus)

@@ -53,8 +53,7 @@ func diffEvolve(t *testing.T, d dist.Distribution, p *DPNextFailure, job *sim.Jo
 	}
 	pl := p.planner
 	r := rng.NewStream(seed, 7)
-	s := &sim.State{Job: job, Now: 0, Remaining: job.Work, LastRenewal: make([]float64, job.Units)}
-	seen := make([]bool, job.Units)
+	s := &sim.State{Job: job, Now: 0, Remaining: job.Work}
 	scale := pl.unitMean / float64(job.Units) / 4
 
 	for step := 0; step < steps; step++ {
@@ -65,11 +64,7 @@ func diffEvolve(t *testing.T, d dist.Distribution, p *DPNextFailure, job *sim.Jo
 			// A unit fails and renews (possibly mid-downtime: its renewal
 			// can sit slightly in the future, making its age negative).
 			u := r.IntN(job.Units)
-			if !seen[u] {
-				seen[u] = true
-				s.FailedUnits = append(s.FailedUnits, int32(u))
-			}
-			s.LastRenewal[u] = s.Now + job.D*r.Float64()
+			s.Renew(int32(u), s.Now+job.D*r.Float64())
 			s.Failures++
 		case 5:
 			// Work commits; occasionally drop Remaining below the horizon
@@ -162,7 +157,7 @@ func TestDPNextFailureBuildGroupsEdgeCases(t *testing.T) {
 
 	t.Run("allNeverFailed", func(t *testing.T) {
 		job := &sim.Job{Work: 1e9, C: 300, R: 300, D: 60, Units: 32}
-		s := &sim.State{Job: job, Now: 5000, Remaining: job.Work, LastRenewal: make([]float64, 32)}
+		s := &sim.State{Job: job, Now: 5000, Remaining: job.Work}
 		p := NewDPNextFailure(w, 1e6)
 		groups := p.planner.buildGroups(s)
 		ref := p.planner.buildGroupsReference(s)
@@ -174,9 +169,7 @@ func TestDPNextFailureBuildGroupsEdgeCases(t *testing.T) {
 
 	t.Run("nExactExceedsFailed", func(t *testing.T) {
 		job := &sim.Job{Work: 1e9, C: 300, R: 300, D: 60, Units: 8}
-		renew := make([]float64, 8)
-		renew[2], renew[5] = 900, 400
-		s := &sim.State{Job: job, Now: 1000, Remaining: job.Work, LastRenewal: renew,
+		s := &sim.State{Job: job, Now: 1000, Remaining: job.Work, Renewals: []float64{900, 400},
 			FailedUnits: []int32{2, 5}, Failures: 2}
 		p := NewDPNextFailure(w, 1e6, WithStateApprox(10, 100))
 		groups := p.planner.buildGroups(s)
@@ -191,13 +184,11 @@ func TestDPNextFailureBuildGroupsEdgeCases(t *testing.T) {
 
 	t.Run("nApproxCollapse", func(t *testing.T) {
 		job := &sim.Job{Work: 1e9, C: 300, R: 300, D: 60, Units: 64}
-		renew := make([]float64, 64)
 		s := &sim.State{Job: job, Now: 1e5, Remaining: job.Work, Failures: 40}
 		for i := 0; i < 40; i++ {
-			renew[i] = 1e5 * float64(i+1) / 50
 			s.FailedUnits = append(s.FailedUnits, int32(i))
+			s.Renewals = append(s.Renewals, 1e5*float64(i+1)/50)
 		}
-		s.LastRenewal = renew
 		p := NewDPNextFailure(w, 1e6, WithStateApprox(4, 9))
 		groups := p.planner.buildGroups(s)
 		ref := p.planner.buildGroupsReference(s)
@@ -254,16 +245,16 @@ func TestDPNextFailureCoarseValueBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := rng.NewStream(42, 3)
-			s := &sim.State{Job: job, Now: 0, Remaining: job.Work, LastRenewal: make([]float64, 3),
+			s := &sim.State{Job: job, Now: 0, Remaining: job.Work, Renewals: make([]float64, 3),
 				FailedUnits: []int32{0, 1, 2}}
 			taus := make([]float64, 3)
 			for step := 0; step < 40; step++ {
 				s.Now += (0.1 + r.Float64()) * mean / 12
 				u := r.IntN(3)
-				s.LastRenewal[u] = s.Now
+				s.Renewals[u] = s.Now
 				s.Failures++
 				for i := range taus {
-					taus[i] = s.Now - s.LastRenewal[i]
+					taus[i] = s.Now - s.Renewals[i]
 				}
 				planE := exact.replan(s)
 				planC := co.replan(s)
@@ -325,17 +316,17 @@ func TestDPNextFailureWarmReplanZeroAlloc(t *testing.T) {
 	if err := p.Start(job); err != nil {
 		t.Fatal(err)
 	}
-	s := &sim.State{Job: job, Now: 0, Remaining: job.Work, LastRenewal: make([]float64, 64)}
+	s := &sim.State{Job: job, Now: 0, Remaining: job.Work}
 	for i := 0; i < 64; i++ {
 		s.FailedUnits = append(s.FailedUnits, int32(i))
-		s.LastRenewal[i] = float64(i) * 977
+		s.Renewals = append(s.Renewals, float64(i)*977)
 	}
 	s.Now = 64 * 977
 	s.Failures = 64
 	unit := 0
 	cycle := func() {
 		s.Now += 13337.25
-		s.LastRenewal[unit] = s.Now - 600
+		s.Renewals[unit] = s.Now - 600
 		unit = (unit + 1) % 64
 		s.Failures++
 		if plan := p.replan(s); len(plan) == 0 {
@@ -358,17 +349,17 @@ func TestDPNextFailureCoarseReplanZeroAlloc(t *testing.T) {
 	if err := p.Start(job); err != nil {
 		t.Fatal(err)
 	}
-	s := &sim.State{Job: job, Now: 0, Remaining: job.Work, LastRenewal: make([]float64, 64)}
+	s := &sim.State{Job: job, Now: 0, Remaining: job.Work}
 	for i := 0; i < 64; i++ {
 		s.FailedUnits = append(s.FailedUnits, int32(i))
-		s.LastRenewal[i] = float64(i) * 977
+		s.Renewals = append(s.Renewals, float64(i)*977)
 	}
 	s.Now = 64 * 977
 	s.Failures = 64
 	unit := 0
 	cycle := func() {
 		s.Now += 13337.25
-		s.LastRenewal[unit] = s.Now - 600
+		s.Renewals[unit] = s.Now - 600
 		unit = (unit + 1) % 64
 		s.Failures++
 		if plan := p.replan(s); len(plan) == 0 {
@@ -472,14 +463,14 @@ func diffRecur(t *testing.T, p *DPNextFailure, job *sim.Job, seed uint64, steps 
 	remaining := []float64{job.Work, 5e5, 2e5}
 	sc := p.scratch()
 	r := rng.NewStream(seed, 9)
-	s := &sim.State{Job: job, LastRenewal: make([]float64, 1), FailedUnits: []int32{0}}
+	s := &sim.State{Job: job, Renewals: make([]float64, 1), FailedUnits: []int32{0}}
 	seen := map[[2]int]bool{}
 	last, memoServed := [2]int{-1, -1}, 0
 	for step := 0; step < steps; step++ {
 		st := [2]int{r.IntN(len(ages)), r.IntN(len(remaining))}
 		s.Failures++
 		s.Now = 1e7 + float64(step)*1e6
-		s.LastRenewal[0] = s.Now - ages[st[0]]
+		s.Renewals[0] = s.Now - ages[st[0]]
 		s.Remaining = remaining[st[1]]
 		memoLen := len(sc.memo)
 		diffComparePlans(t, step, p.replan(s), p.planner.replanReference(s))
@@ -514,7 +505,7 @@ func TestDPNextFailureMemoKeyCarriesUAndC(t *testing.T) {
 	jobB := &sim.Job{Work: 1e12, C: 64, R: 64, D: 60, Units: 1}
 	state := func(job *sim.Job, remaining float64) *sim.State {
 		return &sim.State{Job: job, Now: 1e6, Remaining: remaining,
-			LastRenewal: []float64{4e5}, FailedUnits: []int32{0}, Failures: 1}
+			Renewals: []float64{4e5}, FailedUnits: []int32{0}, Failures: 1}
 	}
 	sA, sB := state(jobA, 700), state(jobB, 448) // u = 100 and 64, tmax 1024
 	pl := NewDPNextFailurePlanner(law, mean, WithSharedGrids(newGridCache(), law.Name()), WithQuanta(7))
@@ -536,14 +527,14 @@ func TestDPNextFailureMemoKeyCarriesUAndC(t *testing.T) {
 // partialGridState is a state of nine age groups (eight failed units and
 // the never-failed rest of twelve) with the given job and remaining work.
 func partialGridState(job *sim.Job, remaining float64) *sim.State {
-	renew := make([]float64, job.Units)
+	var renew []float64
 	var failed []int32
 	for u := 0; u < 8; u++ {
-		renew[u] = 1e5 * float64(u+1)
+		renew = append(renew, 1e5*float64(u+1))
 		failed = append(failed, int32(u))
 	}
 	return &sim.State{Job: job, Now: 1e6, Remaining: remaining,
-		LastRenewal: renew, FailedUnits: failed, Failures: 8}
+		Renewals: renew, FailedUnits: failed, Failures: 8}
 }
 
 // TestDPNextFailurePartialGridSignature pins the reuse check of a partly

@@ -47,28 +47,23 @@ func FuzzDPNextFailureReplan(f *testing.F) {
 		const mean = 2e6
 		job := &sim.Job{Work: remaining, C: 300, R: 300, D: 60, Units: 4}
 		words := [4]uint64{a0, a1, a2, a3}
-		renew := make([]float64, 4)
+		var renew []float64
 		var failed []int32
-		var failures int
-		for u := range renew {
+		for u := range words {
 			// Three low bits pick the unit's history: never failed, failed
 			// with a word-derived age, or renewed mid-downtime (renewal
 			// slightly in the future).
 			switch words[u] % 3 {
-			case 0:
-				renew[u] = 0
 			case 1:
-				renew[u] = now * float64(words[u]%1024) / 1024
+				renew = append(renew, now*float64(words[u]%1024)/1024)
 				failed = append(failed, int32(u))
-				failures++
-			default:
-				renew[u] = now + 60*float64(words[u]%64)/64
+			case 2:
+				renew = append(renew, now+60*float64(words[u]%64)/64)
 				failed = append(failed, int32(u))
-				failures++
 			}
 		}
 		s := &sim.State{Job: job, Now: now, Remaining: remaining,
-			LastRenewal: renew, FailedUnits: failed, Failures: failures}
+			Renewals: renew, FailedUnits: failed, Failures: len(failed)}
 
 		laws := []dist.Distribution{
 			dist.NewExponentialMean(mean),
@@ -89,7 +84,7 @@ func FuzzDPNextFailureReplan(f *testing.F) {
 					t.Fatalf("%s: chunk %d out of range: %v (plan %v)", d.Name(), i, ch, got)
 				}
 			}
-			if coarse && failures > 0 && p.planner.coarse > 0 {
+			if coarse && s.Failures > 0 && p.planner.coarse > 0 {
 				continue // approximate by design; well-formedness checked above
 			}
 			want := p.planner.replanReference(s)
@@ -126,23 +121,21 @@ func FuzzDPNextFailureReplan(f *testing.F) {
 func fuzzReplanManyUnits(t *testing.T, words [4]uint64, remaining, now float64, quanta int, coarse bool) {
 	const mean, units = 2e6, 16
 	job := &sim.Job{Work: remaining, C: 300, R: 300, D: 60, Units: units}
-	renew := make([]float64, units)
+	var renew []float64
 	var failed []int32
-	for u := range renew {
+	for u := range units {
 		w := bits.RotateLeft64(words[u%4], 13*u)
 		switch w % 3 {
-		case 0:
-			renew[u] = 0
 		case 1:
-			renew[u] = now * float64(w%1024) / 1024
+			renew = append(renew, now*float64(w%1024)/1024)
 			failed = append(failed, int32(u))
-		default:
-			renew[u] = now + 60*float64(w%64)/64
+		case 2:
+			renew = append(renew, now+60*float64(w%64)/64)
 			failed = append(failed, int32(u))
 		}
 	}
 	s := &sim.State{Job: job, Now: now, Remaining: remaining,
-		LastRenewal: renew, FailedUnits: failed, Failures: len(failed)}
+		Renewals: renew, FailedUnits: failed, Failures: len(failed)}
 	for _, d := range []dist.Distribution{dist.WeibullFromMeanShape(mean, 0.7), dist.NewExponentialMean(mean)} {
 		opts := []DPNextFailureOption{WithQuanta(quanta), WithStateApprox(3, 8), WithSharedGrids(newGridCache(), d.Name())}
 		exact := !coarse || quanta <= 2 || len(failed) == 0

@@ -5,12 +5,14 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/platform"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/spec"
+	"repro/internal/trace"
 )
 
 // TestDPNextFailureMemoSolvesEachInputOnce evaluates DPNextFailure on a
@@ -72,4 +74,45 @@ func TestDPNextFailureMemoSolvesEachInputOnce(t *testing.T) {
 			solves, len(inputs), solves-len(inputs))
 	}
 	t.Logf("%d solves, %d distinct inputs", solves, len(inputs))
+}
+
+// TestDPNextFailureConcurrentRunsMatchSequential runs instances of one
+// planner at once. Their solves borrow DP tables from the pool every
+// instance shares, and each run must equal the same run made alone.
+func TestDPNextFailureConcurrentRunsMatchSequential(t *testing.T) {
+	law := dist.WeibullFromMeanShape(1e6, 0.7)
+	job := &sim.Job{Work: 5e5, C: 600, R: 600, D: 60, Units: 8}
+	planner := policy.NewDPNextFailurePlanner(law, law.Mean(), policy.WithQuanta(30))
+	const runs = 4
+	traces := make([]*trace.Set, runs)
+	want := make([]sim.Result, runs)
+	for i := range runs {
+		traces[i] = trace.GenerateRenewal(law, job.Units, 1e8, job.D, uint64(i+1))
+		var err error
+		if want[i], err = sim.Run(context.Background(), job, planner.NewPolicy(), traces[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]sim.Result, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = sim.Run(context.Background(), job, planner.NewPolicy(), traces[i])
+		}()
+	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("run %d concurrently: %+v, alone: %+v", i, got[i], want[i])
+		}
+		if got[i].Failures == 0 {
+			t.Errorf("run %d met no failure, so it never re-planned", i)
+		}
+	}
 }

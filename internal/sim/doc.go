@@ -22,9 +22,9 @@
 //   - RunReplicated explores the §8 future-work question of n-way group
 //     replication (replication.go);
 //   - State carries what a policy may observe at a decision point,
-//     including the per-unit renewal times that Algorithm 2's §3.3 state
-//     approximation consumes (FailedUnits keeps that O(#failed) on
-//     million-unit platforms).
+//     including the renewal times that Algorithm 2's §3.3 state
+//     approximation consumes, kept beside FailedUnits for the failed
+//     units only (Renewals): O(#failed) on million-unit platforms.
 //
 // Policies plug in through the Policy interface plus the optional
 // FailureObserver/CommitObserver callbacks; shared immutable planning

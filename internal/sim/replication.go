@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/trace"
 )
@@ -123,18 +124,21 @@ type replicaGroup struct {
 	events  []trace.Event
 	evIdx   int
 	barrier float64
-	renew   []float64 // per local unit: last renewal time
-	failed  []int32   // local units that failed at least once
+	st      State // renewals of the failed local units; stateAt sets the rest
 }
 
 func newReplicaGroup(job *Job, ts *trace.Set, off int) *replicaGroup {
-	g := &replicaGroup{
-		job:   job,
-		renew: make([]float64, job.Units),
-	}
 	// Localize the group's events (unit ids relative to the group).
 	sub := &trace.Set{Horizon: ts.Horizon, Units: ts.Units[off : off+job.Units]}
-	g.events = sub.MergedEvents(job.Units)
+	events := sub.MergedEvents(job.Units)
+	// The failures before the release size the renewal bookkeeping.
+	n := sort.Search(len(events), func(i int) bool { return events[i].Time >= job.Start })
+	n = min(n, job.Units)
+	g := &replicaGroup{
+		job:    job,
+		events: events,
+		st:     State{Job: job, FailedUnits: make([]int32, 0, n), Renewals: make([]float64, 0, n)},
+	}
 	g.advanceTo(job.Start)
 	return g
 }
@@ -151,26 +155,17 @@ func (g *replicaGroup) advanceTo(t float64) {
 }
 
 func (g *replicaGroup) mark(ev trace.Event) {
-	if g.renew[ev.Unit] == 0 {
-		g.failed = append(g.failed, ev.Unit)
-	}
 	up := ev.Time + g.job.D
-	g.renew[ev.Unit] = up
+	g.st.Renew(ev.Unit, up)
 	if up > g.barrier {
 		g.barrier = up
 	}
 }
 
-// stateAt builds a policy-visible state snapshot.
+// stateAt returns the group's policy-visible state at now.
 func (g *replicaGroup) stateAt(now, remaining float64, failures int) *State {
-	return &State{
-		Job:         g.job,
-		Now:         now,
-		Remaining:   remaining,
-		Failures:    failures,
-		LastRenewal: g.renew,
-		FailedUnits: g.failed,
-	}
+	g.st.Now, g.st.Remaining, g.st.Failures = now, remaining, failures
+	return &g.st
 }
 
 // completeChunkFrom computes, WITHOUT mutating the group, the absolute

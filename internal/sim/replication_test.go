@@ -163,7 +163,7 @@ func TestReplicatedPolicySeesWinnerState(t *testing.T) {
 	job := &Job{Work: 200, C: 10, R: 7, D: 5, Units: 1, Start: 0}
 	var sawRenewals [][]float64
 	pol := &tauProbe{period: 100, probe: func(s *State) {
-		cp := append([]float64(nil), s.LastRenewal...)
+		cp := append([]float64(nil), s.Renewals...)
 		sawRenewals = append(sawRenewals, cp)
 	}}
 	if _, err := RunReplicated(context.Background(), job, pol, ts, 2); err != nil {
@@ -173,9 +173,29 @@ func TestReplicatedPolicySeesWinnerState(t *testing.T) {
 		t.Fatalf("too few decisions: %d", len(sawRenewals))
 	}
 	// The winner of chunk 1 is group 1 (failure-free): its unit never
-	// failed, so the observed renewal stays 0.
+	// failed, so the observed state holds no renewal.
 	last := sawRenewals[len(sawRenewals)-1]
-	if last[0] != 0 {
+	if len(last) != 0 {
 		t.Errorf("policy observed renewals %v, want the failure-free group's", last)
+	}
+}
+
+func TestReplicatedRepeatFailureAtZeroRenewalNotDuplicated(t *testing.T) {
+	// With D=0 a failure at time 0 renews at exactly 0, where a dense
+	// renewal slice reads "never failed": the unit's next failure must
+	// not list it in FailedUnits a second time.
+	ts := manualTrace(1e9, []float64{0, 5}, nil)
+	job := &Job{Work: 100, C: 10, R: 7, D: 0, Units: 1, Start: 10}
+	var failed []int32
+	var renewals []float64
+	pol := &tauProbe{period: 100, probe: func(s *State) {
+		failed = append(failed[:0], s.FailedUnits...)
+		renewals = append(renewals[:0], s.Renewals...)
+	}}
+	if _, err := RunReplicated(context.Background(), job, pol, ts, 2); err != nil {
+		t.Fatal(err)
+	}
+	if len(failed) != 1 || failed[0] != 0 || len(renewals) != 1 || renewals[0] != 5 {
+		t.Fatalf("FailedUnits = %v, Renewals = %v, want [0] and [5]", failed, renewals)
 	}
 }

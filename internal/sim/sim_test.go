@@ -158,7 +158,7 @@ func TestTauTracking(t *testing.T) {
 	var sawTau float64 = -1
 	pol := &tauProbe{period: 100, probe: func(s *State) {
 		if s.Failures == 1 && sawTau < 0 {
-			sawTau = s.Tau(0)
+			sawTau = s.Age(0)
 		}
 	}}
 	if _, err := Run(context.Background(), job, pol, ts); err != nil {
@@ -222,7 +222,7 @@ func TestJobStartOffsetAndPreStartFailures(t *testing.T) {
 	var tau0 float64 = -1
 	pol := &tauProbe{period: 100, probe: func(s *State) {
 		if tau0 < 0 {
-			tau0 = s.Tau(0)
+			tau0 = s.Age(0)
 		}
 	}}
 	res, err := Run(context.Background(), job, pol, ts)
