@@ -76,7 +76,7 @@ bench-smoke:
 #     allocations of unknown source in some single-iteration runs), so
 #     about one pass in four had a median of 14 and failed the 1.5x
 #     alloc gate on unchanged code; at 1000x every run reads 9.
-PR ?= 23
+PR ?= 24
 ADVISOR_BENCHTIME ?= 20000x
 
 BENCH_STREAMS = { $(GO) test -run xxx -bench . -skip 'StoreAppend|StoreReplay|EngineTraceCache' -benchtime 1x -count 3 -benchmem $$($(GO) list ./... | grep -v -E 'internal/(advisor|specialfn|rng|obs|dist)$$'); \

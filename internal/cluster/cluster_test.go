@@ -47,7 +47,7 @@ type remoteFixture struct {
 func newRemoteFixture(t *testing.T, cfg cluster.RemoteConfig) *remoteFixture {
 	t.Helper()
 	clock := storetest.NewClock()
-	be := store.NewMemWithClock(clock)
+	be := store.NewMem(store.Options{Clock: clock})
 	sv := cluster.NewStoreServer(cluster.ServerConfig{Backend: be})
 	hs := httptest.NewServer(sv.Handler())
 	t.Cleanup(func() { hs.Close(); be.Close() })
@@ -60,8 +60,8 @@ func newRemoteFixture(t *testing.T, cfg cluster.RemoteConfig) *remoteFixture {
 }
 
 // TestRemoteStoreLeaseContract: the full backend-agnostic lease suite
-// over the wire — the same nine subtests MemStore and FileStore pass,
-// which is what makes "lease" mean one thing fleet-wide.
+// over the wire — the same subtests FileStore passes on disk and in
+// memory, which is what makes "lease" mean one thing fleet-wide.
 func TestRemoteStoreLeaseContract(t *testing.T) {
 	storetest.RunLeaseSuite(t, func(t *testing.T) storetest.Harness {
 		fx := newRemoteFixture(t, cluster.RemoteConfig{})
@@ -201,7 +201,7 @@ func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // landed-but-unacknowledged append would be duplicated by a retry.
 func TestRemoteRetryClassification(t *testing.T) {
 	ctx := context.Background()
-	be := store.NewMemWithClock(storetest.NewClock())
+	be := store.NewMem(store.Options{Clock: storetest.NewClock()})
 	t.Cleanup(func() { be.Close() })
 	sv := cluster.NewStoreServer(cluster.ServerConfig{Backend: be})
 	flaky := &flakyHandler{inner: sv.Handler(), n: 2, seen: make(map[string]int)}

@@ -45,8 +45,8 @@ func fetchSpans(t *testing.T, baseURL string) []obs.Span {
 // server's (store.serve) — so an operator can follow one request
 // across the process boundary by grepping a single id.
 func TestCrossProcessTraceCorrelation(t *testing.T) {
-	// The "store process": a MemStore behind the wire.
-	backend := store.NewMemWithClock(obs.NewFakeClock(time.Unix(1700000000, 0), time.Millisecond))
+	// The "store process": an in-memory store behind the wire.
+	backend := store.NewMem(store.Options{Clock: obs.NewFakeClock(time.Unix(1700000000, 0), time.Millisecond)})
 	sv := cluster.NewStoreServer(cluster.ServerConfig{
 		Backend: backend,
 		Logger:  slog.New(slog.DiscardHandler),

@@ -197,7 +197,7 @@ func TestRemoteReplayNearOldCap(t *testing.T) {
 	per := oldSize(2) - oldSize(1)
 	n := 1 + (32<<20-1-oldSize(1))/per
 
-	be := store.NewMem()
+	be := store.NewMem(store.Options{})
 	t.Cleanup(func() { be.Close() })
 	if err := be.AppendCreated(ctx, "long", ss); err != nil {
 		t.Fatal(err)
@@ -327,7 +327,7 @@ func cutFirstReply(inner http.Handler, attempts *atomic.Int32) http.Handler {
 // cut answers ErrUnavailable.
 func TestRemoteReplayShortReply(t *testing.T) {
 	ctx := context.Background()
-	be := store.NewMem()
+	be := store.NewMem(store.Options{})
 	t.Cleanup(func() { be.Close() })
 	ss, steps := storetest.History()
 	if err := storetest.WriteHistory(ctx, be, "s", ss, steps); err != nil {

@@ -14,7 +14,7 @@ import (
 )
 
 // Backend is what a store server serves: the full store plus its lease
-// face. Both local backends (MemStore, FileStore) satisfy it.
+// face. A FileStore, from Open or NewMem, satisfies it.
 type Backend interface {
 	store.Store
 	store.LeaseStore
@@ -32,8 +32,6 @@ type ServerConfig struct {
 	// Clock times the server's spans and requests. Nil selects the real
 	// clock.
 	Clock obs.Clock
-	// TraceCapacity bounds the span ring buffer (0 = default).
-	TraceCapacity int
 	// Version is reported by /healthz.
 	Version string
 }
@@ -72,9 +70,8 @@ func NewStoreServer(cfg ServerConfig) *StoreServer {
 	sv.handler = obs.Serve(mux, obs.ServeConfig{
 		Registry: reg,
 		Tracer: obs.NewTracer(obs.TracerConfig{
-			Clock:    cfg.Clock,
-			Capacity: cfg.TraceCapacity,
-			OnEnd:    obs.Stages(reg, nil),
+			Clock: cfg.Clock,
+			OnEnd: obs.Stages(reg, nil),
 		}),
 		Span:    "store.serve",
 		IDs:     cfg.IDs,
@@ -163,11 +160,7 @@ func (sv *StoreServer) dispatch(ctx context.Context, op string, req *wireRequest
 		if err != nil {
 			return fail(err)
 		}
-		image, err := rep.Image()
-		if err != nil {
-			return fail(err)
-		}
-		return wireResponse{Records: 1 + len(rep.Steps), image: image}, true
+		return wireResponse{Records: 1 + len(rep.Steps), image: rep.Image()}, true
 	case opPut:
 		if req.Key == "" {
 			return bad("put needs key")

@@ -346,8 +346,9 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		t.Fatalf("chkpt_engine_cache_seconds{result=miss} count = %v, want >= 1", miss)
 	}
 	// The lease-face counters render whether or not the backend ever
-	// granted a lease (MemStore has, through the sweep runner, or not —
-	// either way the family must exist with TYPE counter).
+	// granted a lease (the in-memory store has, through the sweep
+	// runner, or not — either way the family must exist with TYPE
+	// counter).
 	for _, name := range []string{
 		"chkpt_store_lease_acquired_total",
 		"chkpt_store_lease_renewed_total",

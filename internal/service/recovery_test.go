@@ -470,7 +470,7 @@ func TestSweepJobLeaseReclaimAfterCrash(t *testing.T) {
 
 	// The shared store, on a fake clock the test controls.
 	clock := obs.NewFakeClock(time.Unix(1_700_000_000, 0), time.Millisecond)
-	mem := store.NewMemWithClock(clock)
+	mem := store.NewMem(store.Options{Clock: clock})
 	t.Cleanup(func() { mem.Close() })
 	ctx := context.Background()
 

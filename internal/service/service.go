@@ -40,9 +40,10 @@ type Config struct {
 	// nothing expired to reclaim) answer 429. Zero means 1024.
 	MaxSessions int
 	// Store is the durable persistence layer: the session event log and
-	// the content-addressed result store. Nil means store.NewMem() — the
-	// previous in-process behavior, where nothing survives the process.
-	// The caller owns a provided store (the server never closes it).
+	// the content-addressed result store. Nil means store.NewMem, the
+	// store over an in-memory file system, where nothing survives the
+	// process. The caller owns a provided store (the server never closes
+	// it).
 	Store store.Store
 	// Version is the build identification reported by /healthz. Empty
 	// means "dev".
@@ -58,9 +59,6 @@ type Config struct {
 	// X-Request-ID header. Nil means random ids; tests inject
 	// obs.NewSequenceIDSource for deterministic ones.
 	IDs obs.IDSource
-	// TraceCapacity bounds the span ring buffer served by
-	// /v1/debug/traces. Non-positive means obs.DefaultTraceCapacity.
-	TraceCapacity int
 	// ReplicaID names this server instance in the fleet: it is the lease
 	// owner for sweep-job claims. Empty mints a random one — correct for
 	// a fleet, where owners must differ; fix it only in tests.
@@ -69,10 +67,6 @@ type Config struct {
 	// (the window after a replica dies before another may reclaim its
 	// job). Zero means 15 seconds. Measured on the store's clock.
 	SweepLeaseTTL time.Duration
-	// SweepClaimCells is how many cells a replica computes per claim
-	// before releasing the job lease for the fleet to rebalance. Zero
-	// means 8.
-	SweepClaimCells int
 	// SweepRetryDelay is how long a replica waits before re-probing a
 	// job whose lease another replica holds. Zero means 250ms.
 	SweepRetryDelay time.Duration
@@ -93,10 +87,9 @@ type Server struct {
 	handler http.Handler
 
 	// Lease-claimed sweep execution (see runSweepCells): this replica's
-	// lease owner name and its claim cadence.
+	// lease owner name and its claim timing.
 	replicaID       string
 	sweepLeaseTTL   time.Duration
-	sweepClaimCells int
 	sweepRetryDelay time.Duration
 
 	// jobsCtx bounds background sweep-job runners to the server lifetime;
@@ -148,7 +141,7 @@ func New(cfg Config) *Server {
 	}
 	st := cfg.Store
 	if st == nil {
-		st = store.NewMem()
+		st = store.NewMem(store.Options{})
 	}
 	clock := cfg.Clock
 	if clock == nil {
@@ -162,19 +155,14 @@ func New(cfg Config) *Server {
 	if leaseTTL <= 0 {
 		leaseTTL = 15 * time.Second
 	}
-	claimCells := cfg.SweepClaimCells
-	if claimCells <= 0 {
-		claimCells = 8
-	}
 	retryDelay := cfg.SweepRetryDelay
 	if retryDelay <= 0 {
 		retryDelay = 250 * time.Millisecond
 	}
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(obs.TracerConfig{
-		Clock:    clock,
-		Capacity: cfg.TraceCapacity,
-		OnEnd:    obs.Stages(reg, remoteStoreOps),
+		Clock: clock,
+		OnEnd: obs.Stages(reg, remoteStoreOps),
 	})
 	jobsCtx, jobsCancel := context.WithCancel(obs.WithTracer(context.Background(), tracer))
 	s := &Server{
@@ -191,7 +179,6 @@ func New(cfg Config) *Server {
 
 		replicaID:       replicaID,
 		sweepLeaseTTL:   leaseTTL,
-		sweepClaimCells: claimCells,
 		sweepRetryDelay: retryDelay,
 	}
 

@@ -327,21 +327,9 @@ func (s *Server) getSession(w http.ResponseWriter, r *http.Request, id string) (
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	ls, expires, ok := s.getSession(w, r, id)
-	if !ok {
-		return
+	if ls, expires, ok := s.getSession(w, r, r.PathValue("id")); ok {
+		s.writeSessionResponse(w, r, ls, expires, http.StatusOK)
 	}
-	ls.mu.Lock()
-	resp := &SessionResponse{
-		ID:        ls.id,
-		Name:      ls.name,
-		ExpiresAt: expires,
-		State:     sessionState(ls.sess),
-		Decision:  s.advise(r.Context(), ls),
-	}
-	ls.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {

@@ -438,12 +438,12 @@ func TestSessionConcurrentEvents(t *testing.T) {
 	}
 }
 
-// blockingTombstoneLog is a MemStore whose Tombstone of one id waits
+// blockingTombstoneLog is a store whose Tombstone of one id waits
 // until released. A Replay of that id that reads the log while the
 // tombstone waits returns only once the tombstone has returned, as a
 // replay that took the log's lock just ahead of the tombstone does.
 type blockingTombstoneLog struct {
-	*store.MemStore
+	*store.FileStore
 	id      string
 	entered chan struct{} // closed when Tombstone(id) starts waiting
 	release chan struct{} // closed to let it proceed
@@ -454,17 +454,17 @@ type blockingTombstoneLog struct {
 
 func (l *blockingTombstoneLog) Tombstone(ctx context.Context, id string) error {
 	if id != l.id {
-		return l.MemStore.Tombstone(ctx, id)
+		return l.FileStore.Tombstone(ctx, id)
 	}
 	l.enter.Do(func() { close(l.entered) })
 	<-l.release
-	err := l.MemStore.Tombstone(ctx, id)
+	err := l.FileStore.Tombstone(ctx, id)
 	l.finish.Do(func() { close(l.done) })
 	return err
 }
 
 func (l *blockingTombstoneLog) Replay(ctx context.Context, id string) (*store.SessionReplay, error) {
-	rep, err := l.MemStore.Replay(ctx, id)
+	rep, err := l.FileStore.Replay(ctx, id)
 	if id == l.id {
 		select {
 		case <-l.entered:
@@ -482,7 +482,7 @@ func (l *blockingTombstoneLog) Replay(ctx context.Context, id string) (*store.Se
 // again: GET and DELETE answer 404 without touching its log.
 func TestSessionReapTombstonesOutsideTheMapLock(t *testing.T) {
 	clock := obs.NewFakeClock(time.Unix(1_700_000_000, 0), time.Millisecond)
-	log := &blockingTombstoneLog{MemStore: store.NewMem(), id: "reaped",
+	log := &blockingTombstoneLog{FileStore: store.NewMem(store.Options{}), id: "reaped",
 		entered: make(chan struct{}), release: make(chan struct{}), done: make(chan struct{})}
 	srv, ts := newTestServer(t, Config{Store: log, Clock: clock, SessionTTL: time.Minute})
 	var once sync.Once
@@ -561,17 +561,17 @@ func TestSessionReapTombstonesOutsideTheMapLock(t *testing.T) {
 	}
 }
 
-// gatedReplayLog is a MemStore whose first Replay reads the log and
+// gatedReplayLog is a store whose first Replay reads the log and
 // then waits until released before it returns.
 type gatedReplayLog struct {
-	*store.MemStore
+	*store.FileStore
 	calls   atomic.Int32
 	read    chan struct{} // closed once the first Replay has read the log
 	release chan struct{}
 }
 
 func (l *gatedReplayLog) Replay(ctx context.Context, id string) (*store.SessionReplay, error) {
-	rep, err := l.MemStore.Replay(ctx, id)
+	rep, err := l.FileStore.Replay(ctx, id)
 	if l.calls.Add(1) == 1 {
 		close(l.read)
 		<-l.release
@@ -587,14 +587,14 @@ func (l *gatedReplayLog) Replay(ctx context.Context, id string) (*store.SessionR
 func TestSessionReplayOverlappingADeleteIsNotAdopted(t *testing.T) {
 	for _, rehydrated := range []bool{true, false} {
 		t.Run(fmt.Sprintf("rehydrated=%v", rehydrated), func(t *testing.T) {
-			mem := store.NewMem()
+			mem := store.NewMem(store.Options{})
 			_, first := newTestServer(t, Config{Store: mem})
 			if resp, b := postJSON(t, first.URL+"/v1/sessions?id=s", sessionSpecJSON(`{"kind": "young"}`)); resp.StatusCode != http.StatusCreated {
 				t.Fatalf("create: %d %s", resp.StatusCode, b)
 			}
 			// A second replica over the same log, which has never seen "s"
 			// live.
-			log := &gatedReplayLog{MemStore: mem, read: make(chan struct{}), release: make(chan struct{})}
+			log := &gatedReplayLog{FileStore: mem, read: make(chan struct{}), release: make(chan struct{})}
 			srv, ts := newTestServer(t, Config{Store: log})
 			var once sync.Once
 			release := func() { once.Do(func() { close(log.release) }) }

@@ -24,6 +24,10 @@ const sweepJobPrefix = "sweepjob:"
 // on sweepLeasePrefix+jobID.
 const sweepLeasePrefix = "sweeplease:"
 
+// sweepClaimCells is how many cells a replica computes per claim before
+// releasing the job lease for the fleet to rebalance.
+const sweepClaimCells = 8
+
 // sweepRenewEvery is how many cells a claim holder computes between
 // lease renewals. Every renewal is a durable journal append on a
 // FileStore backend, so renewing per cell doubles the fsync cost of a
@@ -247,7 +251,7 @@ func (s *Server) runSweepCells(j *sweepJob) error {
 			return err
 		}
 		completed, _, _ = j.snapshot()
-		end := min(completed+s.sweepClaimCells, len(j.cells))
+		end := min(completed+sweepClaimCells, len(j.cells))
 		err = s.computeCells(eng, j, completed, end, ls, lease)
 		_ = ls.ReleaseLease(s.jobsCtx, lease)
 		if errors.Is(err, store.ErrLeaseStale) {

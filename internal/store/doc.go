@@ -1,10 +1,10 @@
 // Package store is the durable persistence layer behind the serving
 // tier: an append-only session event log and a content-addressed result
-// store, each with an in-memory backend (MemStore — the previous
-// in-process behavior, and the test double) and a stdlib-only on-disk
-// backend (FileStore). The interface is deliberately small so a
-// bbolt/SQLite/Redis backend can slot in later without touching the
-// service layer.
+// store, kept by one stdlib-only implementation (FileStore) on the
+// operating system's file system (Open) or on an in-memory one where
+// nothing outlives the process (NewMem, the service's default). The
+// interface is deliberately small so a bbolt/SQLite/Redis backend can
+// slot in later without touching the service layer.
 //
 // # Replay is recovery
 //
@@ -85,14 +85,14 @@
 // therefore keeps them: FileStore.Replay the log up to its last
 // acknowledged record (after any torn-tail repair), DecodeSessionImage
 // the image it was given. Image answers those bytes and encodes
-// nothing; only a replay that was never decoded from bytes, such as
-// MemStore's, is encoded with AppendSessionImage when asked. Every
-// record is still decoded and checked at each end before its bytes are
-// served or accepted.
+// nothing. Every record is still decoded and checked at each end before
+// its bytes are served or accepted.
 //
 // Segment files rotate at Options.SegmentBytes; only the last (active)
 // segment may carry a torn tail — a torn or corrupt sealed segment is an
-// error at Open.
+// error at Open. The lease journal, leases.log, holds one record per
+// lease transition; Open compacts it to one record per key (written to
+// a temporary file, fsynced and renamed over the journal).
 //
 // FileStore assumes a single process owns the directory (the service
 // holds it for the server's lifetime); it does not implement file
@@ -127,7 +127,12 @@
 // write or fsync that fails truncates the log back to its acknowledged
 // records, so the next append does not land after a fragment; if that
 // truncation fails as well, the session takes no append until a replay
-// has repaired its log.
-// Every session-log file call goes through one small file-system
-// interface (logFS), which tests substitute to block or fail a call.
+// has repaired its log. The active result segment and the lease journal
+// are kept open and cut back the same way; one whose cut fails takes no
+// record until the store is reopened, whose Open repairs it.
+//
+// Every file call goes through one small interface (logFS): osFS is
+// the only code in the package that calls os (a test pins this), and
+// NewMem's memFS keeps files in memory. Tests wrap either to block or
+// fail a call.
 package store

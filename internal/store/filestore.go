@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,16 +36,23 @@ const DefaultSegmentBytes = 8 << 20
 // with default settings appends through a handle it keeps.
 const maxHandles = 1024
 
-// logFS is the file system under the session logs: every session-log
-// file call goes through it. Production uses osFS; tests substitute one
-// that blocks or fails a call.
+// logFS is the file system under the store's logs — the session logs,
+// the result segments and the lease journal: every file call the
+// package makes goes through it. Open uses osFS, NewMem a memFS; tests
+// wrap one to block or fail a call.
 type logFS interface {
 	OpenFile(name string, flag int, perm fs.FileMode) (logFile, error)
 	Remove(name string) error
+	Rename(oldname, newname string) error
+	MkdirAll(dir string, perm fs.FileMode) error
+	// ReadDir returns the names of dir's entries, sorted.
+	ReadDir(dir string) ([]string, error)
+	// SyncDir makes dir's entries durable: a name created in dir, or
+	// renamed into it, survives a crash only once SyncDir returns.
 	SyncDir(dir string) error
 }
 
-// logFile is an open session log.
+// logFile is an open log.
 type logFile interface {
 	io.ReaderAt
 	io.Writer
@@ -56,6 +62,8 @@ type logFile interface {
 	Close() error
 }
 
+// osFS is the operating system's file system, and the only code in the
+// package that calls os.
 type osFS struct{}
 
 func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (logFile, error) {
@@ -66,20 +74,38 @@ func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (logFile, error) {
 	return f, nil
 }
 
-func (osFS) Remove(name string) error { return os.Remove(name) }
-func (osFS) SyncDir(dir string) error { return syncDir(dir) }
+func (osFS) Remove(name string) error                    { return os.Remove(name) }
+func (osFS) Rename(oldname, newname string) error        { return os.Rename(oldname, newname) }
+func (osFS) MkdirAll(dir string, perm fs.FileMode) error { return os.MkdirAll(dir, perm) }
+
+func (osFS) ReadDir(dir string) ([]string, error) {
+	ents, err := os.ReadDir(dir)
+	names := make([]string, len(ents))
+	for i, e := range ents {
+		names[i] = e.Name()
+	}
+	return names, err
+}
+
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
 
 // fsSession is one session log's in-process state. Its mu serializes
-// the log's file I/O and guards f, size, open and tombstoned; the
+// the log's file I/O and guards the journal, open and tombstoned; the
 // store's mu guards refs and elem.
 type fsSession struct {
 	mu sync.Mutex
-	// f is the log's kept O_APPEND handle; nil until the log is opened,
-	// and again once it is tombstoned, evicted or its write failed.
-	f logFile
-	// size is the length of the log's acknowledged records, where a
-	// failed append cuts the log back to.
-	size int64
+	// journal keeps the log's O_APPEND handle: nil until the log is
+	// opened, and again once it is tombstoned, evicted or its write
+	// failed. Every record written through it was fsynced or answered an
+	// error, so closing it loses nothing acknowledged.
+	journal
 	// open: this process created or replayed the log, so it accepts
 	// appends.
 	open       bool
@@ -89,20 +115,12 @@ type fsSession struct {
 	elem *list.Element // the entry's place in the handle cache
 }
 
-// dropHandle closes the kept handle. Every record written through it
-// was fsynced or answered an error, so a failed close loses nothing
-// acknowledged.
-func (s *fsSession) dropHandle() {
-	if s.f != nil {
-		_ = s.f.Close()
-		s.f = nil
-	}
-}
-
-// FileStore is the stdlib-only on-disk backend: framed-JSONL session
-// logs under dir/sessions and append-only result segments under
-// dir/results (see doc.go for the format, the lock order and crash
-// semantics). A single process owns the directory for its lifetime.
+// FileStore is the store: framed-JSONL session logs under dir/sessions,
+// append-only result segments under dir/results and the lease journal
+// dir/leases.log (see doc.go for the format, the lock order and crash
+// semantics), on the operating system's file system (Open) or an
+// in-memory one (NewMem). A single process owns the directory for its
+// lifetime.
 type FileStore struct {
 	counters
 	dir    string
@@ -123,24 +141,86 @@ type FileStore struct {
 	handles *list.List
 
 	// kvMu guards the result index, the active segment and the lease
-	// table. It is held across their writes and fsyncs, and is never
-	// taken together with mu or a session lock.
+	// table and journal. It is held across their writes and fsyncs, and
+	// is never taken together with mu or a session lock.
 	kvMu sync.Mutex
 	// idx caches every stored result; segments are the journal, this map
 	// is the index, rebuilt from the segments at Open.
 	idx map[string][]byte
-	// active is the open handle of the last (writable) segment; activeN
-	// its sequence number, activeSize its current length.
-	active     *os.File
-	activeN    int
-	activeSize int64
-	// lt is the lease table, rebuilt from dir/leases.log at Open so
+	// seg is the last (writable) segment, segN its sequence number.
+	seg  journal
+	segN int
+	// lt is the lease table, rebuilt from the lease journal at Open so
 	// fencing tokens stay monotonic across a store-server restart.
-	lt leaseTable
+	lt     leaseTable
+	leases journal
+}
+
+// journal is a log the store keeps open and appends records to: a
+// session log, the active result segment or the lease journal.
+type journal struct {
+	// f is nil once a failed record could not be cut away.
+	f logFile
+	// size is the length of the log's acknowledged records.
+	size int64
+}
+
+// errStopped answers a write to a result segment or the lease journal
+// that stopped taking records after a failed cut.
+var errStopped = errors.New("store: file stopped after a failed write; reopen the store")
+
+// append writes one record and fsyncs it, the durability protocol of
+// every acknowledged record; the fsync, the serving tier's checkpoint
+// cost C, gets its own span. A failed write or fsync cuts the log back
+// to its acknowledged records, so no fragment sits under the next
+// record. When the cut fails too, it closes the handle: the segment
+// and the lease journal then take no record until the store is
+// reopened, whose Open repairs the fragment as a torn tail.
+func (j *journal) append(ctx context.Context, line []byte) error {
+	if j.f == nil {
+		return errStopped
+	}
+	_, err := j.f.Write(line)
+	if err == nil {
+		_, sp := obs.StartSpan(ctx, "store.fsync")
+		err = j.f.Sync()
+		sp.End()
+	}
+	if err != nil {
+		if j.f.Truncate(j.size) != nil {
+			_ = j.close()
+		}
+		return err
+	}
+	j.size += int64(len(line))
+	return nil
+}
+
+func (j *journal) close() error {
+	if j.f == nil {
+		return nil
+	}
+	err := j.f.Close()
+	j.f = nil
+	return err
 }
 
 // Open mounts (or initializes) a file store rooted at dir.
-func Open(dir string, opt Options) (*FileStore, error) {
+func Open(dir string, opt Options) (*FileStore, error) { return openFS(osFS{}, dir, opt) }
+
+// NewMem returns an empty store over a fresh in-memory file system: the
+// full store contract, with nothing outliving the process. It is the
+// service's store when no data directory is configured.
+func NewMem(opt Options) *FileStore {
+	st, err := openFS(newMemFS(), memRoot, opt)
+	if err != nil {
+		panic("store: open an empty in-memory store: " + err.Error())
+	}
+	return st
+}
+
+// openFS opens the store rooted at dir on files.
+func openFS(files logFS, dir string, opt Options) (*FileStore, error) {
 	if opt.SegmentBytes <= 0 {
 		opt.SegmentBytes = DefaultSegmentBytes
 	}
@@ -150,21 +230,23 @@ func Open(dir string, opt Options) (*FileStore, error) {
 	st := &FileStore{
 		dir:      dir,
 		opt:      opt,
-		files:    osFS{},
+		files:    files,
 		sessions: make(map[string]*fsSession),
 		handles:  list.New(),
 		idx:      make(map[string][]byte),
 		lt:       newLeaseTable(),
 	}
 	for _, sub := range []string{st.sessionsDir(), st.resultsDir()} {
-		if err := os.MkdirAll(sub, 0o755); err != nil {
+		if err := files.MkdirAll(sub, 0o755); err != nil {
 			return nil, fmt.Errorf("store: open %s: %w", dir, err)
 		}
 	}
-	if err := st.loadSegments(); err != nil {
-		return nil, err
+	err := st.loadSegments()
+	if err == nil {
+		err = st.loadLeases()
 	}
-	if err := st.loadLeases(); err != nil {
+	if err != nil {
+		st.Close()
 		return nil, err
 	}
 	return st, nil
@@ -180,19 +262,13 @@ func (st *FileStore) sessionPath(id string) string {
 
 func segmentName(n int) string { return fmt.Sprintf("seg-%06d.log", n) }
 
-// ValidID reports whether id is usable as a session id on every
-// backend: non-empty, not dot-led, and drawn from [A-Za-z0-9._-] —
-// the set that is safe as a FileStore file name. The service checks
-// client-chosen session ids against it before they reach any backend,
-// so an id accepted over a MemStore is not later refused by a
-// FileStore.
-func ValidID(id string) error { return validSessionID(id) }
-
-// validSessionID accepts ids that are safe as file names: non-empty,
-// not dot-led, and drawn from [A-Za-z0-9._-]. An unsafe id wraps
-// ErrNoSession — such an id can never name a stored log, and the read
-// paths should answer "not found", not "server error".
-func validSessionID(id string) error {
+// ValidID reports whether id is usable as a session id: non-empty, not
+// dot-led, and drawn from [A-Za-z0-9._-], the set that is safe as a
+// log file name. An unsafe id wraps ErrNoSession: such an id can never
+// name a stored log, and the store's read paths answer "not found", not
+// "server error". The service checks client-chosen session ids against
+// it before they reach the store.
+func ValidID(id string) error {
 	bad := func() error {
 		return fmt.Errorf("store: invalid session id %q: %w", id, ErrNoSession)
 	}
@@ -208,31 +284,6 @@ func validSessionID(id string) error {
 		}
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so a freshly created file's entry is
-// durable, not just its bytes.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// writeSynced writes one record and fsyncs it, the durability protocol
-// of every acknowledged record. The fsync — the dominant cost of every
-// durable append, the serving tier's checkpoint cost C — gets its own
-// span.
-func writeSynced(ctx context.Context, f logFile, line []byte) error {
-	if _, err := f.Write(line); err != nil {
-		return err
-	}
-	_, sp := obs.StartSpan(ctx, "store.fsync")
-	err := f.Sync()
-	sp.End()
-	return err
 }
 
 // session runs fn under session id's lock, and only while the store is
@@ -267,7 +318,7 @@ func (st *FileStore) session(id string, create bool, fn func(s *fsSession) error
 		err = fn(s)
 	}
 	if !s.open {
-		s.dropHandle()
+		_ = s.close()
 	}
 	st.mu.Lock()
 	s.refs--
@@ -345,14 +396,13 @@ func (st *FileStore) appendLocked(ctx context.Context, s *fsSession, id string, 
 		}
 		s.f = f
 	}
-	if err := writeSynced(ctx, s.f, line); err != nil {
-		if s.f.Truncate(s.size) != nil {
+	if err := s.append(ctx, line); err != nil {
+		if s.f == nil { // the cut failed
 			s.open = false
 		}
-		s.dropHandle()
+		_ = s.close()
 		return err
 	}
-	s.size += int64(len(line))
 	st.appends.Add(1)
 	return nil
 }
@@ -362,7 +412,7 @@ func (st *FileStore) AppendCreated(ctx context.Context, id string, ss *spec.Sess
 	defer span.End()
 	span.SetAttr("kind", "created")
 	span.SetAttr("session", id)
-	if err := validSessionID(id); err != nil {
+	if err := ValidID(id); err != nil {
 		return err
 	}
 	line, err := appendSessionRecord(nil, sessionRecord{kind: recCreated, spec: ss})
@@ -385,14 +435,14 @@ func (st *FileStore) AppendCreated(ctx context.Context, id string, ss *spec.Sess
 		if err != nil {
 			return fmt.Errorf("store: create session %s: %w", id, err)
 		}
-		if err := writeSynced(ctx, f, line); err != nil {
+		s.journal = journal{f: f}
+		if err := s.append(ctx, line); err != nil {
 			// The record was not acknowledged; drop the partial file so the
 			// id is not burned by a half-created log.
-			_ = f.Close()
+			_ = s.close()
 			_ = st.files.Remove(path)
 			return fmt.Errorf("store: create session %s: %w", id, err)
 		}
-		s.f, s.size = f, int64(len(line))
 		if err := st.files.SyncDir(st.sessionsDir()); err != nil {
 			return fmt.Errorf("store: create session %s: %w", id, err)
 		}
@@ -428,7 +478,7 @@ func (st *FileStore) appendOpen(ctx context.Context, id, kind string, line []byt
 	defer span.End()
 	span.SetAttr("kind", kind)
 	span.SetAttr("session", id)
-	if err := validSessionID(id); err != nil {
+	if err := ValidID(id); err != nil {
 		return err
 	}
 	err := st.session(id, false, func(s *fsSession) error {
@@ -451,7 +501,7 @@ func (st *FileStore) Tombstone(ctx context.Context, id string) error {
 	defer span.End()
 	span.SetAttr("kind", "tombstone")
 	span.SetAttr("session", id)
-	if err := validSessionID(id); err != nil {
+	if err := ValidID(id); err != nil {
 		return err
 	}
 	line, err := appendSessionRecord(nil, sessionRecord{kind: recTombstone})
@@ -482,7 +532,7 @@ func (st *FileStore) Replay(ctx context.Context, id string) (*SessionReplay, err
 	_, span := obs.StartSpan(ctx, "store.replay")
 	defer span.End()
 	span.SetAttr("session", id)
-	if err := validSessionID(id); err != nil {
+	if err := ValidID(id); err != nil {
 		return nil, err
 	}
 	var rep *SessionReplay
@@ -567,41 +617,50 @@ func readLog(f logFile) ([]byte, error) {
 	return data, nil
 }
 
+// readFile reads a whole file.
+func (st *FileStore) readFile(name string) ([]byte, error) {
+	f, err := st.files.OpenFile(name, os.O_RDONLY, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return readLog(f)
+}
+
 // loadSegments scans dir/results at Open: sealed segments must be
 // clean, the last segment may carry a torn tail (repaired by
 // truncation), and every surviving record lands in the index.
 func (st *FileStore) loadSegments() error {
-	entries, err := os.ReadDir(st.resultsDir())
+	names, err := st.files.ReadDir(st.resultsDir())
 	if err != nil {
 		return fmt.Errorf("store: open results: %w", err)
 	}
-	var names []string
-	for _, e := range entries {
-		n := e.Name()
-		if strings.HasPrefix(n, "seg-") && strings.HasSuffix(n, ".log") {
-			names = append(names, n)
+	var segs []string
+	for _, name := range names {
+		var n int
+		if _, err := fmt.Sscanf(name, "seg-%06d.log", &n); err == nil && segmentName(n) == name {
+			segs = append(segs, name)
+			st.segN = n
 		}
 	}
-	sort.Strings(names)
-	for i, name := range names {
-		path := filepath.Join(st.resultsDir(), name)
-		data, err := os.ReadFile(path)
+	if len(segs) == 0 {
+		st.segN = 1
+		return st.openSegment(true, 0)
+	}
+	var torn int
+	for i, name := range segs {
+		data, err := st.readFile(filepath.Join(st.resultsDir(), name))
 		if err != nil {
 			return fmt.Errorf("store: open segment %s: %w", name, err)
 		}
-		frames, torn, err := decodeFrames(data)
+		var frames []frame
+		frames, torn, err = decodeFrames(data)
 		if err != nil {
 			return fmt.Errorf("store: open segment %s: %w", name, err)
 		}
-		last := i == len(names)-1
-		if torn > 0 {
-			if !last {
-				return fmt.Errorf("store: open segment %s: %w", name,
-					&CorruptError{Offset: len(data) - torn, Reason: "torn tail in a sealed segment"})
-			}
-			if err := os.Truncate(path, int64(len(data)-torn)); err != nil {
-				return fmt.Errorf("store: repair segment %s: %w", name, err)
-			}
+		if torn > 0 && i < len(segs)-1 {
+			return fmt.Errorf("store: open segment %s: %w", name,
+				&CorruptError{Offset: len(data) - torn, Reason: "torn tail in a sealed segment"})
 		}
 		for _, fr := range frames {
 			rec, err := decodeKVRecord(fr.payload, fr.off)
@@ -610,36 +669,34 @@ func (st *FileStore) loadSegments() error {
 			}
 			st.idx[rec.Key] = rec.Val
 		}
-		var n int
-		if _, err := fmt.Sscanf(name, "seg-%06d.log", &n); err == nil && n > st.activeN {
-			st.activeN = n
-		}
-		if last {
-			st.activeSize = int64(len(data) - torn)
+		st.seg.size = int64(len(data) - torn)
+	}
+	if err := st.openSegment(false, st.seg.size); err != nil {
+		return err
+	}
+	if torn > 0 {
+		if err := st.seg.f.Truncate(st.seg.size); err != nil {
+			return fmt.Errorf("store: repair segment %s: %w", segmentName(st.segN), err)
 		}
 	}
-	if len(names) == 0 {
-		st.activeN = 1
-		st.activeSize = 0
-		return st.openActive(true)
-	}
-	return st.openActive(false)
+	return nil
 }
 
-// openActive opens (creating when fresh) the writable segment.
-func (st *FileStore) openActive(create bool) error {
+// openSegment opens (creating when fresh) the writable segment, whose
+// acknowledged records end at size.
+func (st *FileStore) openSegment(create bool, size int64) error {
 	flags := os.O_WRONLY | os.O_APPEND
 	if create {
 		flags |= os.O_CREATE
 	}
-	name := segmentName(st.activeN)
-	f, err := os.OpenFile(filepath.Join(st.resultsDir(), name), flags, 0o644)
+	name := segmentName(st.segN)
+	f, err := st.files.OpenFile(filepath.Join(st.resultsDir(), name), flags, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: open segment %s: %w", name, err)
 	}
-	st.active = f
+	st.seg = journal{f: f, size: size}
 	if create {
-		if err := syncDir(st.resultsDir()); err != nil {
+		if err := st.files.SyncDir(st.resultsDir()); err != nil {
 			return fmt.Errorf("store: open segment %s: %w", name, err)
 		}
 	}
@@ -647,9 +704,23 @@ func (st *FileStore) openActive(create bool) error {
 }
 
 func (st *FileStore) Put(ctx context.Context, key string, val []byte) error {
+	return st.put(ctx, nil, key, val)
+}
+
+func (st *FileStore) PutLeased(ctx context.Context, l Lease, key string, val []byte) error {
+	return st.put(ctx, &l, key, val)
+}
+
+// put appends one result record to the active segment (rotating as
+// needed), fsyncs it and indexes the value; with a lease, only while
+// the lease's token is current.
+func (st *FileStore) put(ctx context.Context, l *Lease, key string, val []byte) error {
 	ctx, span := obs.StartSpan(ctx, "store.put")
 	defer span.End()
 	span.SetAttr("key", key)
+	if l != nil {
+		span.SetAttr("leased", "true")
+	}
 	if key == "" {
 		return errors.New("store: put with an empty key")
 	}
@@ -662,34 +733,25 @@ func (st *FileStore) Put(ctx context.Context, key string, val []byte) error {
 	if st.closed.Load() {
 		return ErrClosed
 	}
-	return st.putLineLocked(ctx, key, val, line)
-}
-
-// putLineLocked appends one already-framed result record to the active
-// segment (rotating as needed), fsyncs it and indexes the value. The
-// caller holds st.kvMu and has already checked closed (and, for fenced
-// writes, the lease token).
-func (st *FileStore) putLineLocked(ctx context.Context, key string, val, line []byte) error {
-	if st.activeSize >= st.opt.SegmentBytes {
-		if err := st.active.Close(); err != nil {
-			return fmt.Errorf("store: seal segment %s: %w", segmentName(st.activeN), err)
+	if l != nil {
+		if err := st.lt.check(*l); err != nil {
+			return st.countLeaseErr(fmt.Errorf("store: fenced put %s: %w", key, err))
 		}
-		st.activeN++
-		st.activeSize = 0
-		if err := st.openActive(true); err != nil {
+	}
+	// A stopped segment is not sealed: its fragment stays in the last
+	// segment, where Open repairs a torn tail.
+	if st.seg.f != nil && st.seg.size >= st.opt.SegmentBytes {
+		if err := st.seg.close(); err != nil {
+			return fmt.Errorf("store: seal segment %s: %w", segmentName(st.segN), err)
+		}
+		st.segN++
+		if err := st.openSegment(true, 0); err != nil {
 			return err
 		}
 	}
-	if _, err := st.active.Write(line); err != nil {
+	if err := st.seg.append(ctx, line); err != nil {
 		return fmt.Errorf("store: put %s: %w", key, err)
 	}
-	_, sp := obs.StartSpan(ctx, "store.fsync")
-	err := st.active.Sync()
-	sp.End()
-	if err != nil {
-		return fmt.Errorf("store: put %s: %w", key, err)
-	}
-	st.activeSize += int64(len(line))
 	cp := make([]byte, len(val))
 	copy(cp, val)
 	st.idx[key] = cp
@@ -713,25 +775,15 @@ func (st *FileStore) Get(_ context.Context, key string) ([]byte, bool, error) {
 	return cp, true, nil
 }
 
-// loadLeases rebuilds the lease table from dir/leases.log at Open.
+// loadLeases rebuilds the lease table from dir/leases.log at Open and
+// keeps the journal open for appends, creating it empty when missing.
 // Like the session logs, a torn tail is an unacknowledged transition
 // repaired by truncation; a terminated-but-bad line is corruption.
-// The file is created empty when missing so later appends can open it
-// O_APPEND without racing on creation.
 func (st *FileStore) loadLeases() error {
 	path := st.leasesPath()
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
-		if err != nil {
-			return fmt.Errorf("store: open leases: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("store: open leases: %w", err)
-		}
-		return syncDir(st.dir)
-	}
-	if err != nil {
+	data, err := st.readFile(path)
+	created := errors.Is(err, fs.ErrNotExist)
+	if err != nil && !created {
 		return fmt.Errorf("store: open leases: %w", err)
 	}
 	frames, torn, err := decodeFrames(data)
@@ -753,9 +805,20 @@ func (st *FileStore) loadLeases() error {
 	// renewal churn from past runs (and a torn tail is an unacknowledged
 	// transition). Rewriting it compacted repairs both and keeps the file
 	// from growing for the deployment's lifetime.
+	size := int64(len(data))
 	if torn > 0 || len(frames) > len(st.lt.leases) {
-		if err := st.compactLeases(); err != nil {
+		if size, err = st.compactLeases(); err != nil {
 			return fmt.Errorf("store: compact leases: %w", err)
+		}
+	}
+	f, err := st.files.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: open leases: %w", err)
+	}
+	st.leases = journal{f: f, size: size}
+	if created {
+		if err := st.files.SyncDir(st.dir); err != nil {
+			return fmt.Errorf("store: open leases: %w", err)
 		}
 	}
 	return nil
@@ -764,8 +827,9 @@ func (st *FileStore) loadLeases() error {
 // compactLeases atomically rewrites dir/leases.log as one record per
 // key — the lease table's current state, keys sorted for a
 // deterministic image — via the tmp + fsync + rename discipline, so a
-// crash mid-compaction leaves either the old or the new journal.
-func (st *FileStore) compactLeases() error {
+// crash mid-compaction leaves either the old or the new journal. It
+// returns the new journal's size.
+func (st *FileStore) compactLeases() (int64, error) {
 	keys := make([]string, 0, len(st.lt.leases))
 	for k := range st.lt.leases {
 		keys = append(keys, k)
@@ -773,37 +837,33 @@ func (st *FileStore) compactLeases() error {
 	sort.Strings(keys)
 	var buf []byte
 	for _, k := range keys {
-		s := st.lt.leases[k]
-		rec := leaseRecord{Key: k, Owner: s.owner, Token: s.token}
-		if !s.released {
-			rec.ExpUnixMS = s.exp.UnixMilli()
-		}
-		line, err := encodeLeaseRecord(rec)
+		line, err := encodeLeaseRecord(k, st.lt.leases[k])
 		if err != nil {
-			return err
+			return 0, err
 		}
 		buf = append(buf, line...)
 	}
 	path := st.leasesPath()
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := st.files.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if _, err := f.Write(buf); err == nil {
+	_, err = f.Write(buf)
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(tmp)
-		return err
+		_ = st.files.Remove(tmp)
+		return 0, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
+	if err := st.files.Rename(tmp, path); err != nil {
+		return 0, err
 	}
-	return syncDir(st.dir)
+	return int64(len(buf)), st.files.SyncDir(st.dir)
 }
 
 // journalLeaseLocked makes key's current lease state durable. It must
@@ -811,21 +871,11 @@ func (st *FileStore) compactLeases() error {
 // token bump did not reach disk could, after a crash, be re-granted
 // with a stale token — exactly what fencing exists to prevent.
 func (st *FileStore) journalLeaseLocked(ctx context.Context, key string) error {
-	s := st.lt.snapshot(key)
-	rec := leaseRecord{Key: key, Owner: s.owner, Token: s.token}
-	if !s.released {
-		rec.ExpUnixMS = s.exp.UnixMilli()
-	}
-	line, err := encodeLeaseRecord(rec)
+	line, err := encodeLeaseRecord(key, st.lt.leases[key])
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(st.leasesPath(), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: journal lease %s: %w", key, err)
-	}
-	defer f.Close()
-	if err := writeSynced(ctx, f, line); err != nil {
+	if err := st.leases.append(ctx, line); err != nil {
 		return fmt.Errorf("store: journal lease %s: %w", key, err)
 	}
 	return nil
@@ -901,32 +951,9 @@ func (st *FileStore) ReleaseLease(ctx context.Context, l Lease) error {
 	return nil
 }
 
-func (st *FileStore) PutLeased(ctx context.Context, l Lease, key string, val []byte) error {
-	ctx, span := obs.StartSpan(ctx, "store.put")
-	defer span.End()
-	span.SetAttr("key", key)
-	span.SetAttr("leased", "true")
-	if key == "" {
-		return errors.New("store: put with an empty key")
-	}
-	line, err := encodeKVRecord(key, val)
-	if err != nil {
-		return err
-	}
-	st.kvMu.Lock()
-	defer st.kvMu.Unlock()
-	if st.closed.Load() {
-		return ErrClosed
-	}
-	if err := st.lt.check(l); err != nil {
-		return st.countLeaseErr(fmt.Errorf("store: fenced put %s: %w", key, err))
-	}
-	return st.putLineLocked(ctx, key, val, line)
-}
-
-// Close closes every session-log handle and the active segment. An
-// operation already under way on a session finishes first; every later
-// one answers ErrClosed.
+// Close closes every session-log handle, the active segment and the
+// lease journal. An operation already under way on a session finishes
+// first; every later one answers ErrClosed.
 func (st *FileStore) Close() error {
 	st.mu.Lock()
 	if st.closed.Swap(true) {
@@ -941,15 +968,13 @@ func (st *FileStore) Close() error {
 	st.mu.Unlock()
 	for _, s := range sessions {
 		s.mu.Lock()
-		s.dropHandle()
+		_ = s.close()
 		s.mu.Unlock()
 	}
 	st.kvMu.Lock()
 	defer st.kvMu.Unlock()
-	if st.active != nil {
-		if err := st.active.Close(); err != nil {
-			return fmt.Errorf("store: close: %w", err)
-		}
+	if err := errors.Join(st.seg.close(), st.leases.close()); err != nil {
+		return fmt.Errorf("store: close: %w", err)
 	}
 	return nil
 }

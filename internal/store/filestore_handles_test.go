@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/advisor"
+	"repro/internal/obs"
 )
 
 // hookFS is osFS with a tally of open handles and hooks that run before
@@ -618,4 +619,129 @@ func TestFileStoreEvictionSkipsBusySession(t *testing.T) {
 	if rep, err := st.Replay(ctx, "busy"); err != nil || len(rep.Steps) != 1 || rep.Steps[0].Event != ev {
 		t.Fatalf("replay of the busy session: %+v, %v", rep, err)
 	}
+}
+
+// TestFileStoreFailedJournalWriteIsCut: a write to the active result
+// segment or to leases.log that fails after half its record is cut back
+// to the acknowledged records, so after one more acknowledged record a
+// reopened store holds exactly the acknowledged ones, and no lease token
+// goes back. When the cut fails too, the file takes no record until the
+// store is reopened, whose Open repairs it. A lease-journal compaction
+// whose write fails fails Open and leaves the journal as it was.
+func TestFileStoreFailedJournalWriteIsCut(t *testing.T) {
+	ctx := context.Background()
+	errInjected := errors.New("injected failure")
+	for _, tc := range []struct {
+		file     string
+		cutFails bool
+	}{
+		{segmentName(1), false}, {segmentName(1), true}, {"leases.log", false}, {"leases.log", true},
+	} {
+		t.Run(fmt.Sprintf("%s/cut-fails=%v", tc.file, tc.cutFails), func(t *testing.T) {
+			clock := obs.NewFakeClock(time.Unix(1_700_000_000, 0), time.Millisecond)
+			var fail atomic.Bool
+			h := &hookFS{
+				beforeWrite: func(name string, len int) (int, error) {
+					if filepath.Base(name) == tc.file && fail.CompareAndSwap(true, false) {
+						return len / 2, errInjected
+					}
+					return len, nil
+				},
+				beforeTruncate: func(name string) error {
+					if tc.cutFails && filepath.Base(name) == tc.file {
+						return errInjected
+					}
+					return nil
+				},
+			}
+			dir := t.TempDir()
+			st, err := openFS(h, dir, Options{Clock: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			// write(st, i) puts key ki, or acquires its lease and records
+			// the granted token.
+			tokens := map[string]uint64{}
+			write := func(st *FileStore, i int) error {
+				key := fmt.Sprintf("k%d", i)
+				if tc.file != "leases.log" {
+					return st.Put(ctx, key, []byte(key))
+				}
+				l, err := st.AcquireLease(ctx, key, "w", time.Minute)
+				if err == nil {
+					tokens[key] = l.Token
+				}
+				return err
+			}
+			if err := write(st, 0); err != nil {
+				t.Fatal(err)
+			}
+			fail.Store(true)
+			if err := write(st, 1); !errors.Is(err, errInjected) {
+				t.Fatalf("failed write: %v", err)
+			}
+			acked := []bool{true, false, !tc.cutFails}
+			if err := write(st, 2); tc.cutFails && !errors.Is(err, errStopped) || !tc.cutFails && err != nil {
+				t.Fatalf("write after the failed one: %v", err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			st2 := openFile(t, dir, Options{Clock: clock})
+			clock.Advance(time.Hour)
+			for i, ok := range acked {
+				key := fmt.Sprintf("k%d", i)
+				if tc.file != "leases.log" {
+					if _, found, err := st2.Get(ctx, key); err != nil || found != ok {
+						t.Fatalf("%s after reopen: found %v (%v), acknowledged %v", key, found, err, ok)
+					}
+					continue
+				}
+				l, err := st2.AcquireLease(ctx, key, "x", time.Minute)
+				if want := tokens[key] + 1; err != nil || l.Token != want {
+					t.Fatalf("%s after reopen: token %d (%v), want %d", key, l.Token, err, want)
+				}
+			}
+			// The reopened file takes records and reopens clean.
+			if err := write(st2, 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := st2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			openFile(t, dir, Options{Clock: clock})
+		})
+	}
+	t.Run("compaction", func(t *testing.T) {
+		clock := obs.NewFakeClock(time.Unix(1_700_000_000, 0), time.Millisecond)
+		dir := t.TempDir()
+		st := openFile(t, dir, Options{Clock: clock})
+		l, err := st.AcquireLease(ctx, "k", "w", time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A second record for the key: the next Open compacts.
+		if err := st.RenewLease(ctx, l, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		h := &hookFS{beforeWrite: func(name string, len int) (int, error) {
+			if filepath.Base(name) == "leases.log.tmp" {
+				return len / 2, errInjected
+			}
+			return len, nil
+		}}
+		if _, err := openFS(h, dir, Options{Clock: clock}); !errors.Is(err, errInjected) {
+			t.Fatalf("open whose compaction failed: %v", err)
+		}
+		st2 := openFile(t, dir, Options{Clock: clock})
+		clock.Advance(time.Hour)
+		if l2, err := st2.AcquireLease(ctx, "k", "x", time.Minute); err != nil || l2.Token <= l.Token {
+			t.Fatalf("token after a failed compaction: %d (%v), had %d", l2.Token, err, l.Token)
+		}
+	})
 }

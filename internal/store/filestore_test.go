@@ -66,52 +66,61 @@ func TestFileStoreReopen(t *testing.T) {
 // TestFileStoreTornTailRepair: trailing bytes without a newline are a
 // crash artifact — replay repairs them away and the log stays usable.
 func TestFileStoreTornTailRepair(t *testing.T) {
-	dir := t.TempDir()
-	st := openFile(t, dir, Options{})
-	if err := st.AppendCreated(context.Background(), "s1", testSessionSpec()); err != nil {
-		t.Fatal(err)
-	}
-	ev := advisor.Event{Kind: advisor.EventProgress, Time: 10, Work: 5}
-	if err := st.AppendEvent(context.Background(), "s1", ev); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(context.Background(), "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append on both logs.
-	slog := filepath.Join(dir, "sessions", "s1.log")
-	appendRaw(t, slog, []byte("deadbeef {\"kind\":\"ev"))
-	seg := filepath.Join(dir, "results", segmentName(1))
-	appendRaw(t, seg, []byte("0123"))
+	for _, b := range Backings(t) {
+		t.Run(b.Name, func(t *testing.T) {
+			open := func() *FileStore {
+				st, err := b.Open(Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { st.Close() })
+				return st
+			}
+			st := open()
+			if err := st.AppendCreated(context.Background(), "s1", testSessionSpec()); err != nil {
+				t.Fatal(err)
+			}
+			ev := advisor.Event{Kind: advisor.EventProgress, Time: 10, Work: 5}
+			if err := st.AppendEvent(context.Background(), "s1", ev); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(context.Background(), "k", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Simulate a crash mid-append on both logs.
+			b.AppendRaw(t, filepath.Join("sessions", "s1.log"), []byte("deadbeef {\"kind\":\"ev"))
+			b.AppendRaw(t, filepath.Join("results", segmentName(1)), []byte("0123"))
 
-	st2 := openFile(t, dir, Options{})
-	rep, err := st2.Replay(context.Background(), "s1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Steps) != 1 || rep.Steps[0].Event != ev {
-		t.Fatalf("replayed steps after repair: %+v", rep.Steps)
-	}
-	if v, ok, err := st2.Get(context.Background(), "k"); err != nil || !ok || string(v) != "v" {
-		t.Fatalf("segment value after repair: %q ok=%v err=%v", v, ok, err)
-	}
-	// The repaired logs accept appends and stay parseable.
-	if err := st2.AppendEvent(context.Background(), "s1", ev); err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Put(context.Background(), "k2", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st3 := openFile(t, dir, Options{})
-	rep, err = st3.Replay(context.Background(), "s1")
-	if err != nil || len(rep.Steps) != 2 {
-		t.Fatalf("after repair+append: steps %+v, err %v", rep.Steps, err)
+			st2 := open()
+			rep, err := st2.Replay(context.Background(), "s1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Steps) != 1 || rep.Steps[0].Event != ev {
+				t.Fatalf("replayed steps after repair: %+v", rep.Steps)
+			}
+			if v, ok, err := st2.Get(context.Background(), "k"); err != nil || !ok || string(v) != "v" {
+				t.Fatalf("segment value after repair: %q ok=%v err=%v", v, ok, err)
+			}
+			// The repaired logs accept appends and stay parseable.
+			if err := st2.AppendEvent(context.Background(), "s1", ev); err != nil {
+				t.Fatal(err)
+			}
+			if err := st2.Put(context.Background(), "k2", []byte("v2")); err != nil {
+				t.Fatal(err)
+			}
+			if err := st2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st3 := open()
+			rep, err = st3.Replay(context.Background(), "s1")
+			if err != nil || len(rep.Steps) != 2 {
+				t.Fatalf("after repair+append: steps %+v, err %v", rep.Steps, err)
+			}
+		})
 	}
 }
 
@@ -173,40 +182,49 @@ func TestFileStoreCorruptSegmentFailsOpen(t *testing.T) {
 // TestFileStoreSegmentRotation: small segments rotate; every value
 // survives a reopen, and sealed segments with torn tails fail Open.
 func TestFileStoreSegmentRotation(t *testing.T) {
-	dir := t.TempDir()
-	st := openFile(t, dir, Options{SegmentBytes: 128})
-	const n = 20
-	for i := range n {
-		if err := st.Put(context.Background(), fmt.Sprintf("key-%02d", i), bytes.Repeat([]byte{'x'}, 32)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, "results", "seg-*.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 2 {
-		t.Fatalf("no rotation: %d segments", len(segs))
-	}
+	for _, b := range Backings(t) {
+		t.Run(b.Name, func(t *testing.T) {
+			st, err := b.Open(Options{SegmentBytes: 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 20
+			for i := range n {
+				if err := st.Put(context.Background(), fmt.Sprintf("key-%02d", i), bytes.Repeat([]byte{'x'}, 32)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs, err := b.fsys.ReadDir(b.Path("results"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(segs) < 2 || segs[0] != segmentName(1) {
+				t.Fatalf("no rotation: segments %v", segs)
+			}
 
-	st2 := openFile(t, dir, Options{SegmentBytes: 128})
-	for i := range n {
-		if _, ok, err := st2.Get(context.Background(), fmt.Sprintf("key-%02d", i)); err != nil || !ok {
-			t.Fatalf("key-%02d lost after rotation: ok=%v err=%v", i, ok, err)
-		}
-	}
-	if err := st2.Close(); err != nil {
-		t.Fatal(err)
-	}
+			st2, err := b.Open(Options{SegmentBytes: 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range n {
+				if _, ok, err := st2.Get(context.Background(), fmt.Sprintf("key-%02d", i)); err != nil || !ok {
+					t.Fatalf("key-%02d lost after rotation: ok=%v err=%v", i, ok, err)
+				}
+			}
+			if err := st2.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// A torn tail is only legal in the LAST segment; a sealed one refuses.
-	appendRaw(t, segs[0], []byte("torn"))
-	var ce *CorruptError
-	if _, err := Open(dir, Options{SegmentBytes: 128}); !errors.As(err, &ce) {
-		t.Fatalf("open over torn sealed segment: %v, want *CorruptError", err)
+			// A torn tail is only legal in the LAST segment; a sealed one refuses.
+			b.AppendRaw(t, filepath.Join("results", segs[0]), []byte("torn"))
+			var ce *CorruptError
+			if _, err := b.Open(Options{SegmentBytes: 128}); !errors.As(err, &ce) {
+				t.Fatalf("open over torn sealed segment: %v, want *CorruptError", err)
+			}
+		})
 	}
 }
 
@@ -221,19 +239,5 @@ func TestFileStoreInvalidSessionID(t *testing.T) {
 		if _, err := st.Replay(context.Background(), id); !errors.Is(err, ErrNoSession) {
 			t.Fatalf("replay %q: %v, want ErrNoSession wrap", id, err)
 		}
-	}
-}
-
-func appendRaw(t *testing.T, path string, b []byte) {
-	t.Helper()
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

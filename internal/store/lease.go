@@ -39,7 +39,7 @@ type Lease struct {
 // ownership of work items (sweep-job cells) through it instead of one
 // process owning the run.
 //
-// The contract, uniform across MemStore, FileStore and RemoteStore:
+// The contract, uniform across FileStore and RemoteStore:
 //
 //   - AcquireLease grants the key's lease for ttl. A live lease by
 //     another owner answers ErrLeaseHeld. Re-acquiring one's own live
@@ -84,9 +84,8 @@ func validLeaseArgs(key, owner string, ttl time.Duration) error {
 	return nil
 }
 
-// leaseState is one key's lease bookkeeping, shared by the in-memory
-// table of both local backends. The token survives release and expiry:
-// monotonicity is the whole point.
+// leaseState is one key's lease bookkeeping in the lease table. The
+// token survives release and expiry: monotonicity is the whole point.
 type leaseState struct {
 	owner    string
 	token    uint64
@@ -99,9 +98,9 @@ func (s *leaseState) live(now time.Time) bool {
 	return !s.released && now.Before(s.exp)
 }
 
-// leaseTable is the shared lease engine: both local backends hold one
-// under their store mutex and differ only in whether transitions are
-// journaled. All methods assume the caller holds the store lock.
+// leaseTable is the lease engine: FileStore holds one under its kvMu
+// and journals each transition. All methods assume the caller holds
+// that lock.
 type leaseTable struct {
 	leases map[string]*leaseState
 }
@@ -162,10 +161,4 @@ func (t *leaseTable) check(l Lease) error {
 		return ErrLeaseStale
 	}
 	return nil
-}
-
-// snapshot returns the current state of key's lease for journaling.
-func (t *leaseTable) snapshot(key string) leaseState {
-	s := t.leases[key]
-	return *s
 }

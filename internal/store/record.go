@@ -74,8 +74,12 @@ type leaseRecord struct {
 	ExpUnixMS int64 `json:"exp_ms"`
 }
 
-// encodeLeaseRecord marshals a lease record into its framed line.
-func encodeLeaseRecord(rec leaseRecord) ([]byte, error) {
+// encodeLeaseRecord marshals key's lease state into its framed record.
+func encodeLeaseRecord(key string, s *leaseState) ([]byte, error) {
+	rec := leaseRecord{Key: key, Owner: s.owner, Token: s.token}
+	if !s.released {
+		rec.ExpUnixMS = s.exp.UnixMilli()
+	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("store: encode lease record: %w", err)

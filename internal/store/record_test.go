@@ -234,8 +234,8 @@ func TestSessionImageRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Spec, rep.Spec) || !reflect.DeepEqual(got.Steps, rep.Steps) {
 		t.Fatalf("decoded %+v, want %+v", got, rep)
 	}
-	if img, err := got.Image(); err != nil || !bytes.Equal(img, image) {
-		t.Fatalf("decoded replay's image: %q, %v; want the image it was decoded from", img, err)
+	if img := got.Image(); !bytes.Equal(img, image) {
+		t.Fatalf("decoded replay's image: %q; want the image it was decoded from", img)
 	}
 	var ce *CorruptError
 	for _, tc := range []struct {

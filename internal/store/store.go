@@ -35,22 +35,16 @@ type SessionReplay struct {
 	// exactly what Advisor.ReplaySession consumes.
 	Steps []advisor.ReplayStep
 
-	// image is the log image Spec and Steps were decoded from, when they
-	// were decoded from one (FileStore.Replay, DecodeSessionImage).
+	// image is the log image Spec and Steps were decoded from.
 	image []byte
 }
 
-// Image returns the session's log image, as AppendSessionImage writes
-// it. A replay decoded from bytes (FileStore.Replay, DecodeSessionImage)
-// answers those bytes, already checked and canonical, without encoding
-// anything; they describe Spec and Steps as decoded, and the caller must
-// not modify them. Any other replay is encoded afresh.
-func (rep *SessionReplay) Image() ([]byte, error) {
-	if rep.image != nil {
-		return rep.image, nil
-	}
-	return AppendSessionImage(nil, rep)
-}
+// Image returns the log image the replay was decoded from
+// (FileStore.Replay, DecodeSessionImage), as AppendSessionImage writes
+// it: those bytes, already checked and canonical, with nothing encoded
+// again. They describe Spec and Steps as decoded, and the caller must
+// not modify them. A replay built any other way has no image (nil).
+func (rep *SessionReplay) Image() []byte { return rep.image }
 
 // SessionLog is the append-only session journal. Appends for a session
 // are accepted only while the store considers it open in this process —
@@ -135,7 +129,7 @@ func RegisterStats(reg *obs.Registry, stats func() Stats) {
 	})
 }
 
-// counters is the atomic tally embedded by both backends.
+// counters is the store's atomic operation tally.
 type counters struct {
 	appends        atomic.Uint64
 	replays        atomic.Uint64

@@ -29,7 +29,7 @@ var backends = []struct {
 	name string
 	open func(t *testing.T) Store
 }{
-	{"mem", func(t *testing.T) Store { return NewMem() }},
+	{"mem", func(t *testing.T) Store { return NewMem(Options{}) }},
 	{"file", func(t *testing.T) Store {
 		st, err := Open(t.TempDir(), Options{})
 		if err != nil {
